@@ -7,21 +7,26 @@ map T -> f(T).  Composition is the group operation; f is invertible
 exactly when its linear coefficient is a unit and all higher ones are
 nilpotent.
 
-Composition has two specialized code paths for integers mod m (a direct
-Horner loop with Kronecker-packed multiplication for small problems, and
-an expansion around the affine part of the inner map for large ones) plus
-a generic Horner fallback that works over every ring.  All paths are
-checked against each other in the test suite.
+Products of coefficient lists go through one per-ring kernel: Kronecker
+substitution over Z/m, bivariate Kronecker substitution over F_p[t]/(t^e),
+and the schoolbook product over Q[t]/(t^e) and symbolic rings.  Every ring
+composes by one Horner loop over that kernel.  Over Z/m three more paths
+take over: at high degree an affine inner map, and an expansion around
+the affine part of a unit-slope inner map with nilpotent tail; at low
+degree, one Horner pass over big integers that carry the exact integer
+coefficients.  The tests check every path against a schoolbook reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
+    AlgebraError,
     InfiniteCoefficientRing,
     NotAnAutomorphism,
     PreconditionFailed,
@@ -40,36 +45,116 @@ def _int_trim(c: list) -> list:
     return c
 
 
+# Kronecker substitution: a list of nonnegative ints becomes one big integer
+# with a fixed number of bytes per slot, so one CPython bigint multiply does
+# a whole convolution.  Slots of 1, 2, 4 or 8 bytes go through array and
+# memoryview; wider slots, for large moduli, go through bytes.
+_ARRAY_CODE = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slot_width(bits: int) -> int:
+    """Bytes per slot for values below 2**bits."""
+    for w in _ARRAY_CODE:  # ascending: array item sizes grow along "BHILQ"
+        if bits <= 8 * w:
+            return w
+    return (bits + 7) // 8
+
+
+def _pack(xs: Sequence[int], w: int) -> int:
+    code = _ARRAY_CODE.get(w)
+    if code:
+        return int.from_bytes(array(code, xs).tobytes(), "little")
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs), "little")
+
+
+def _unpack(n: int, count: int, w: int) -> Sequence[int]:
+    buf = n.to_bytes(w * count, "little")
+    code = _ARRAY_CODE.get(w)
+    if code:
+        return memoryview(buf).cast(code)
+    return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
+
+
+def _kron_times(b: Sequence[int], m: int):
+    """a -> a*b mod m for canonical coefficient lists, with b packed once.
+    A product slot sums at most len(b) terms below (m-1)^2."""
+    w = _slot_width(2 * (m - 1).bit_length() + len(b).bit_length())
+    pb = _pack(b, w)
+
+    def times(a: Sequence[int]) -> list:
+        if not a or not pb:
+            return []
+        slots = _unpack(_pack(a, w) * pb, len(a) + len(b) - 1, w)
+        return _int_trim([x % m for x in slots])
+
+    return times
+
+
 def _kron_mul(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    """Multiply two canonical coefficient lists mod m by packing them into
-    big integers (Kronecker substitution); one CPython bigint multiply does
-    the convolution."""
-    if not a or not b:
-        return []
-    bits = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length()
-    n_out = len(a) + len(b) - 1
-    if bits <= 63:
-        pa = int.from_bytes(array("Q", a).tobytes(), "little")
-        pb = int.from_bytes(array("Q", b).tobytes(), "little")
-        buf = (pa * pb).to_bytes(8 * (n_out + 1), "little")
-        mv = memoryview(buf).cast("Q")
-        return _int_trim([x % m for x in mv[:n_out]])
-    w = (bits + 63) // 64 * 8
-    pa = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in a), "little")
-    pb = int.from_bytes(b"".join(x.to_bytes(w, "little") for x in b), "little")
-    buf = (pa * pb).to_bytes(w * (n_out + 1), "little")
-    return _int_trim(
-        [int.from_bytes(buf[i * w:(i + 1) * w], "little") % m for i in range(n_out)]
-    )
+    """a*b mod m by Kronecker substitution."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _kron_times(b, m)(a)
+
+
+def _series_times(b: Sequence[tuple], ring: TruncSeriesRing):
+    """a -> a*b over F_p[t]/(t^e), with b packed once: bivariate Kronecker
+    substitution.  The t^k part of the T^i coefficient goes to slot
+    i*(2e-1) + k, so the t-degrees of a product, at most 2e-2, never reach
+    the next T-coefficient; unpacking keeps k < e and reduces mod p.  A
+    product slot sums at most len(b)*e terms below (p-1)^2."""
+    p, e = ring.p, ring.e
+    stride = 2 * e - 1
+    pad = (0,) * (e - 1)
+    w = _slot_width(2 * (p - 1).bit_length() + (len(b) * e).bit_length())
+    pb = _pack([x for c in b for x in c + pad], w)
+
+    def times(a: Sequence[tuple]) -> list:
+        if not a or not pb:
+            return []
+        pa = _pack([x for c in a for x in c + pad], w)
+        slots = _unpack(pa * pb, (len(a) + len(b) - 1) * stride, w)
+        out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
+        while out and not any(out[-1]):
+            out.pop()
+        return out
+
+    return times
 
 
 def _int_add(a: Sequence[int], b: Sequence[int], m: int) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % m
+    out = [(x + y) % m for x, y in zip(a, b)]
+    out += a[len(b):]
     return _int_trim(out)
+
+
+# Compositions over Z/m whose exact integer result packs into at most this
+# many bytes run through the integers; larger ones reduce mod m as they go.
+_EXACT_BYTES = 512
+
+
+def _exact_slot(f_len: int, g_sum: int, m: int) -> int:
+    """Bytes per slot that hold every coefficient of f(g) over Z, for
+    canonical f of length f_len and canonical g with coefficient sum g_sum:
+    those coefficients are nonnegative and sum to f(g_sum), at most
+    (m-1) * f_len * g_sum^(f_len-1)."""
+    bits = (m - 1).bit_length() + f_len.bit_length()
+    return _slot_width(bits + (f_len - 1) * max(g_sum, 1).bit_length())
+
+
+def _compose_int_exact(f: Sequence[int], g: Sequence[int], m: int, w: int) -> list:
+    """f(g) mod m through the integers, for g of length at least 2 and w
+    from _exact_slot: f evaluated at the packed g carries the coefficients
+    of f(g) over Z in its w-byte digits, so one Horner pass over big
+    integers does the whole composition."""
+    pg = _pack(g, w)
+    acc = 0
+    for a in reversed(f):
+        acc = acc * pg + a
+    count = (len(f) - 1) * (len(g) - 1) + 1
+    return _int_trim([x % m for x in _unpack(acc, count, w)])
 
 
 def _affine_power_row(c: int, u: int, h: int, m: int) -> list:
@@ -88,12 +173,18 @@ def _affine_power_row(c: int, u: int, h: int, m: int) -> list:
     return _int_trim(row)
 
 
-def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
-    """f(c + u*T) mod m; quadratic Horner for short f, otherwise split f in
-    half and recombine with one Kronecker multiply per level."""
+def _affine_compose_int(
+    f: Sequence[int], c: int, u: int, m: int, rows: Optional[dict] = None
+) -> list:
+    """f(c + u*T) mod m.  Short f goes through the integers while the
+    result packs small, or else by quadratic Horner; longer f splits in
+    half and recombines with one Kronecker multiply per level."""
     if not f:
         return []
-    if len(f) <= 24:
+    if len(f) <= 16:
+        w = _exact_slot(len(f), c + u, m)
+        if w * len(f) <= _EXACT_BYTES:
+            return _compose_int_exact(f, (c, u), m, w)
         res = [f[-1] % m]
         for a in reversed(f[:-1]):
             new = [(c * res[0] + a) % m]
@@ -101,26 +192,15 @@ def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
             new.append(u * res[-1] % m)
             res = new
         return _int_trim(res)
+    rows = {} if rows is None else rows  # (c + u*T)^h by h, for this call
     half = len(f) >> 1
-    lo = _affine_compose_int(f[:half], c, u, m)
-    hi = _affine_compose_int(f[half:], c, u, m)
+    lo = _affine_compose_int(f[:half], c, u, m, rows)
+    hi = _affine_compose_int(f[half:], c, u, m, rows)
     if not hi:
         return _int_trim(lo)
-    shifted = _kron_mul(hi, _affine_power_row(c, u, half, m), m)
-    return _int_add(lo, shifted, m)
-
-
-def _compose_int_horner(f: Sequence[int], g: Sequence[int], m: int) -> list:
-    if not f:
-        return []
-    res = [f[-1] % m]
-    for a in reversed(f[:-1]):
-        res = _kron_mul(res, g, m)
-        if res:
-            res[0] = (res[0] + a) % m
-        elif a % m:
-            res = [a % m]
-    return _int_trim(res)
+    if half not in rows:
+        rows[half] = _affine_power_row(c, u, half, m)
+    return _int_add(lo, _kron_mul(hi, rows[half], m), m)
 
 
 def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
@@ -141,57 +221,78 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
     rest = _int_trim([0, 0] + list(g[2:]))
     if not rest or len(f) == 1:
         return base
+    # (H_j f)(b0) * rest^j = H_j(base) * (rest/u)^j.  The binomial rows
+    # C(i, j) come from running sums of the previous row, and the terms
+    # add up in one packed integer: a slot sums base's coefficient and at
+    # most len(base) products below m^2 for each j < top.
     uinv = ring.inv(u)
-    result = list(base)
-    power: list = [1]
-    uij = 1
-    nu = ring.nilpotency_index
-    for j in range(1, len(f)):
-        power = _kron_mul(power, rest, m)
+    s = _int_trim([x * uinv % m for x in rest])
+    times_s = _kron_times(s, m)
+    top = min(len(f), ring.nilpotency_index)
+    w = _slot_width(2 * (m - 1).bit_length() + (top * len(base)).bit_length())
+    acc = _pack(base, w)
+    count = len(base)
+    power = s
+    binom = [1] * len(base)
+    for j in range(1, top):
+        if j > 1:
+            power = times_s(power)
         if not power:
             break
-        if j >= nu:
-            # rest^nu is identically zero; only canonical-form slack could
-            # get us here
-            break
-        uij = uij * uinv % m
-        # H_j(base) scaled by uinv^j, coefficient C(i, j) kept exact for the
-        # integer recurrence and reduced only when used
-        comb = 1
-        hj = []
-        for i in range(j, len(base)):
-            hj.append(comb % m * base[i] % m * uij % m)
-            comb = comb * (i + 1) // (i + 1 - j)
-        hj = _int_trim(hj)
+        binom = [0, *itertools.accumulate(binom[:-1])]
+        hj = [k * b % m for k, b in zip(binom[j:], base[j:])]
         if hj:
-            result = _int_add(result, _kron_mul(hj, power, m), m)
-    return _int_trim(result)
+            acc += _pack(hj, w) * _pack(power, w)
+            count = max(count, len(hj) + len(power) - 1)
+    return _int_trim([x % m for x in _unpack(acc, count, w)])
 
 
 # ---------------------------------------------------------------------------
-# generic payload helpers
+# the per-ring product kernel and the one Horner composition
 
 
-def _poly_mul_generic(a, b, ring: Ring) -> list:
-    if not a or not b:
-        return []
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ring.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-    while out and ring.is_zero(out[-1]):
-        out.pop()
-    return out
+def _schoolbook_times(b: Sequence, ring: Ring):
+    def times(a: Sequence) -> list:
+        if not a or not b:
+            return []
+        out = [ring.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if ring.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+        while out and ring.is_zero(out[-1]):
+            out.pop()
+        return out
+
+    return times
 
 
-def _compose_generic(f, g, ring: Ring) -> list:
+def _times(b: Sequence, ring: Ring):
+    """The map a -> a*b on canonical coefficient lists over ring: Kronecker
+    packing over Z/m and F_p[t]/(t^e), schoolbook over Q[t]/(t^e) and
+    symbolic rings."""
+    if isinstance(ring, IntModRing):
+        return _kron_times(b, ring.m)
+    if isinstance(ring, TruncSeriesRing) and ring.p is not None:
+        return _series_times(b, ring)
+    return _schoolbook_times(b, ring)
+
+
+def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return _times(b, ring)(a)
+
+
+def _compose_horner(f: Sequence, g: Sequence, ring: Ring) -> list:
+    """f(g) by Horner's rule, with g packed once for every step."""
     if not f:
         return []
+    times = _times(g, ring)
     res = [f[-1]]
     for a in reversed(f[:-1]):
-        res = _poly_mul_generic(res, g, ring)
+        res = times(res)
         if res:
             res[0] = ring.add(res[0], a)
         elif not ring.is_zero(a):
@@ -222,9 +323,11 @@ class TruncPoly:
     def _raw(cls, ring: Ring, payloads: Sequence) -> "TruncPoly":
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
-        pl = list(payloads)
-        while pl and ring.is_zero(pl[-1]):
-            pl.pop()
+        pl = payloads
+        if pl and ring.is_zero(pl[-1]):
+            pl = list(pl)
+            while pl and ring.is_zero(pl[-1]):
+                pl.pop()
         object.__setattr__(obj, "_c", tuple(pl))
         return obj
 
@@ -301,18 +404,19 @@ class TruncPoly:
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] = ring.add(out[i], y)
+        out = list(map(ring.add, a, b))
+        out += a[len(b):]
         return TruncPoly._raw(ring, out)
 
     def __sub__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
         ring = self.ring
-        out = list(self._c)
-        out += [ring.zero()] * (len(other._c) - len(out))
-        for i, y in enumerate(other._c):
-            out[i] = ring.sub(out[i], y)
+        a, b = self._c, other._c
+        out = list(map(ring.sub, a, b))
+        out += a[len(b):]
+        if len(b) > len(a):
+            z = ring.zero()
+            out += [ring.sub(z, y) for y in b[len(a):]]
         return TruncPoly._raw(ring, out)
 
     def scale(self, c) -> "TruncPoly":
@@ -322,17 +426,12 @@ class TruncPoly:
 
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
-        ring = self.ring
-        if isinstance(ring, IntModRing):
-            return TruncPoly._raw(ring, _kron_mul(self._c, other._c, ring.m))
-        return TruncPoly._raw(ring, _poly_mul_generic(self._c, other._c, ring))
+        return TruncPoly._raw(self.ring, _poly_mul(self._c, other._c, self.ring))
 
     def derivative(self) -> "TruncPoly":
         ring = self.ring
-        out = [
-            ring.mul(ring.from_int(i), self._c[i]) for i in range(1, len(self._c))
-        ]
-        return TruncPoly._raw(ring, out)
+        ks = map(ring.from_int, range(1, len(self._c)))
+        return TruncPoly._raw(ring, list(map(ring.mul, ks, self._c[1:])))
 
     def hasse_derivative(self, j: int) -> "TruncPoly":
         """The divided j-th derivative: coefficient of T^k maps to
@@ -366,24 +465,27 @@ class TruncPoly:
         self._check(g)
         ring = self.ring
         f_c, g_c = self._c, g._c
-        if isinstance(ring, IntModRing):
-            df = len(f_c) - 1
-            dg = len(g_c) - 1
-            if df <= 0 or dg <= 0:
-                out = _compose_int_horner(f_c, g_c, ring.m)
-            elif dg == 1 and df > 24:
+        if isinstance(ring, IntModRing) and len(f_c) > 1:
+            # three paths that beat Horner over Z/m: at high degree an
+            # affine inner map, and a unit-slope inner map with nilpotent
+            # tail; at low degree, composition through the integers
+            df, dg = len(f_c) - 1, len(g_c) - 1
+            if dg == 1 and df > 24:
                 out = _affine_compose_int(f_c, g_c[0], g_c[1], ring.m)
-            elif df * dg <= 96 or len(g_c) < 3:
-                out = _compose_int_horner(f_c, g_c, ring.m)
-            else:
-                rest_ok = all(ring.is_nilpotent(c) for c in g_c[2:])
-                u_ok = len(g_c) > 1 and ring.is_unit(g_c[1])
-                if rest_ok and u_ok:
-                    out = _compose_int_taylor(f_c, g_c, ring)
-                else:
-                    out = _compose_int_horner(f_c, g_c, ring.m)
-            return TruncPoly._raw(ring, out)
-        return TruncPoly._raw(ring, _compose_generic(f_c, g_c, ring))
+                return TruncPoly._raw(ring, out)
+            if (
+                dg >= 2
+                and df * dg > 96
+                and ring.is_unit(g_c[1])
+                and all(map(ring.is_nilpotent, g_c[2:]))
+            ):
+                return TruncPoly._raw(ring, _compose_int_taylor(f_c, g_c, ring))
+            if dg >= 1:
+                w = _exact_slot(len(f_c), sum(g_c), ring.m)
+                if w * (df * dg + 1) <= _EXACT_BYTES:
+                    out = _compose_int_exact(f_c, g_c, ring.m, w)
+                    return TruncPoly._raw(ring, out)
+        return TruncPoly._raw(ring, _compose_horner(f_c, g_c, ring))
 
     def is_automorphism(self) -> bool:
         """Unit linear coefficient and nilpotent higher coefficients; this
@@ -393,7 +495,7 @@ class TruncPoly:
             return False
         if not ring.is_unit(self._c[1]):
             return False
-        return all(ring.is_nilpotent(c) for c in self._c[2:])
+        return all(map(ring.is_nilpotent, self._c[2:]))
 
     def identity_congruence(self) -> int:
         """Largest r (capped at the truncation exponent) with
@@ -401,27 +503,27 @@ class TruncPoly:
         ring = self.ring
         if not ring.has_q() or ring.truncation is None:
             raise PreconditionFailed("needs a truncated q-adic ring")
-        n = ring.truncation
-        best = n
-        one = ring.one()
-        for i, c in enumerate(self._c):
-            v = ring.q_val(ring.sub(c, one) if i == 1 else c)
-            if v < best:
-                best = v
-        if len(self._c) < 2:
-            best = min(best, ring.q_val(ring.neg(one)))
-        return best
+        cs = list(self._c)
+        if len(cs) < 2:
+            cs += [ring.zero()] * (2 - len(cs))
+        cs[1] = ring.sub(cs[1], ring.one())
+        return min(ring.truncation, ring.q_val_min(cs))
 
     def to_json(self) -> dict:
         return {"coeffs": [self.ring.payload_to_json(c) for c in self._c]}
 
     @classmethod
     def from_json(cls, ring: Ring, j: dict) -> "TruncPoly":
-        return cls(ring, [ring.payload_from_json(c) for c in j["coeffs"]])
+        coeffs = j["coeffs"]
+        if not isinstance(coeffs, list):
+            raise PreconditionFailed(
+                f"coeffs must be a list, got {type(coeffs).__name__}"
+            )
+        return cls(ring, [ring.payload_from_json(c) for c in coeffs])
 
 
 def identity_map(ring: Ring) -> TruncPoly:
-    return TruncPoly(ring, [ring.zero(), ring.one()])
+    return TruncPoly._raw(ring, [ring.zero(), ring.one()])
 
 
 def compose(f: TruncPoly, g: TruncPoly) -> TruncPoly:
@@ -444,6 +546,13 @@ def _transport_payload(a, src: Ring, dst: Ring):
     raise RingMismatch(f"cannot transport between {src} and {dst}")
 
 
+def _transport(cs: Sequence, src: Ring, dst: Ring) -> list:
+    if isinstance(src, IntModRing) and isinstance(dst, IntModRing):
+        m = dst.m
+        return [a % m for a in cs]
+    return [_transport_payload(a, src, dst) for a in cs]
+
+
 def reduce_precision(f: TruncPoly, m: int) -> TruncPoly:
     """Push f along R/q^n -> R/q^m (m <= n)."""
     src = f.ring
@@ -452,7 +561,7 @@ def reduce_precision(f: TruncPoly, m: int) -> TruncPoly:
     if m > src.truncation:
         raise PreconditionFailed("cannot reduce upward")
     dst = src.at_precision(m)
-    return TruncPoly._raw(dst, [_transport_payload(c, src, dst) for c in f._c])
+    return TruncPoly._raw(dst, _transport(f._c, src, dst))
 
 
 def lift_precision(f: TruncPoly, n: int) -> TruncPoly:
@@ -463,16 +572,7 @@ def lift_precision(f: TruncPoly, n: int) -> TruncPoly:
     if n < src.truncation:
         raise PreconditionFailed("cannot lift downward")
     dst = src.at_precision(n)
-    return TruncPoly._raw(dst, [_transport_payload(c, src, dst) for c in f._c])
-
-
-def reduce_modulus(f: TruncPoly, m2: int) -> TruncPoly:
-    """Z/m -> Z/m2 reduction for composite moduli chains (m2 | m)."""
-    src = f.ring
-    if not isinstance(src, IntModRing) or src.m % m2:
-        raise PreconditionFailed("target modulus must divide the source")
-    dst = IntModRing(m2)
-    return TruncPoly._raw(dst, [c % m2 for c in f._c])
+    return TruncPoly._raw(dst, _transport(f._c, src, dst))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +666,12 @@ def atilde_coefficient_valuation(d: int, j: int, n: int) -> int:
     return min(v, n)
 
 
+@functools.lru_cache(maxsize=64)
+def _atilde_valuations(d: int, top: int, n: int) -> tuple:
+    """atilde_coefficient_valuation(d, j, n) for j = 2..top."""
+    return tuple(atilde_coefficient_valuation(d, j, n) for j in range(2, top + 1))
+
+
 def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
     ring = f.ring
     if spec.flavor == "full":
@@ -584,10 +690,11 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
         n = ring.truncation
         if n is None:
             raise PreconditionFailed("atilde needs a truncated ring")
+        # deg(f mod q^m) <= d*2^(m-2): q^m divides every coefficient past
+        # that index
         d = spec.d
         for m in range(2, n + 1):
-            dm = f.degree_mod(m)
-            if dm is not None and dm > d * (1 << (m - 2)):
+            if ring.q_val_min(f._c[max(d << (m - 2), 0) + 1:]) < m:
                 return False
         return True
     if spec.flavor == "n":
@@ -639,9 +746,15 @@ def sample_filtered(ring: Ring, d: int, rng) -> TruncPoly:
         raise PreconditionFailed("needs a truncated q-adic ring")
     top = d * (1 << (n - 2)) if n >= 2 else d
     coeffs = [ring.rand(rng), ring.rand_unit(rng)]
-    for j in range(2, top + 1):
-        v = atilde_coefficient_valuation(d, j, n)
-        coeffs.append(ring.mul(ring.q_power(v), ring.rand(rng)))
+    qv = [ring.q_power(v) for v in range(n + 1)]
+    vals = _atilde_valuations(d, top, n)
+    if isinstance(ring, IntModRing):
+        # the draws of ring.rand, without a method call per coefficient
+        m, randrange = ring.m, rng.randrange
+        coeffs += [qv[v] * randrange(m) % m for v in vals]
+    else:
+        mul, rand = ring.mul, ring.rand
+        coeffs += [mul(qv[v], rand(rng)) for v in vals]
     return TruncPoly._raw(ring, coeffs)
 
 
@@ -831,6 +944,8 @@ def composition_series(
     evidence (deterministic given rng)."""
     if not isinstance(ring, IntModRing):
         raise PreconditionFailed("composition series works over Z/m")
+    if rng is not None and samples < 1:
+        raise PreconditionFailed(f"need at least one sample per kernel, got {samples}")
     steps: list[FiltrationStep] = []
     if ring.p is not None:
         n = ring.n
@@ -858,9 +973,10 @@ def composition_series(
     m = ring.m
     while m != ring.radical:
         m2 = 1
-        for p, e in _factor_cached(m).items():
+        for p, e in IntModRing(m)._factors.items():
             m2 *= p ** ((e + 1) // 2)
-        assert m % m2 == 0 and (m2 * m2) % m == 0  # kernel ideal squares to 0
+        if m % m2 or (m2 * m2) % m:
+            raise AlgebraError(f"kernel ideal ({m2}) of Z/{m} does not square to zero")
         cur_ring = IntModRing(m)
         ok, checked, wit = (
             _check_abelian_kernel_mod(cur_ring, m2, samples, deg_cap, rng)
@@ -880,7 +996,3 @@ def composition_series(
         )
         m = m2
     return steps
-
-
-def _factor_cached(m: int) -> dict:
-    return IntModRing(m)._factors if m > 1 else {}

@@ -34,7 +34,7 @@ from .autgroup import (
 )
 from .errors import AlgebraError
 from .inversion import invert_with_depth, oracle_invert
-from .rings import RingElem, SymbolicRing, parse_ring_flag
+from .rings import RingElem, SymbolicRing, _require_prime, parse_ring_flag
 
 VERBS = (
     "compose",
@@ -61,6 +61,25 @@ class UsageError(Exception):
     """Bad flags or unreadable inputs; exits with status 2."""
 
 
+def _prime(s: str) -> int:
+    """argparse type for --p: a prime, or a usage error."""
+    try:
+        return _require_prime(int(s))
+    except (AlgebraError, ValueError) as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
+def _positive(s: str) -> int:
+    """argparse type for --samples: a verdict needs at least one check."""
+    try:
+        k = int(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -74,8 +93,8 @@ def _load_json(path: str) -> dict:
 def _ring(args):
     try:
         return parse_ring_flag(args.ring)
-    except AlgebraError as e:
-        raise UsageError(str(e))
+    except (AlgebraError, ValueError) as e:
+        raise UsageError(f"--ring {args.ring}: {e}")
 
 
 def _poly(ring, path: str) -> TruncPoly:
@@ -416,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=int, required=True)
 
     p = verb("series", _do_series, ring=True, seed=True, help="precision-halving filtration with abelian-kernel evidence")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive, default=100)
 
     p = verb("witt-derive", _do_witt_derive, help="universal component laws for sums and products")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--level", type=int, required=True)
 
     p = verb("witt-add", _do_witt_add, help="componentwise sum")
@@ -436,25 +455,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("witt-iso", _do_witt_iso, help="vectors over F_p <-> residues mod p^(level+1)")
     p.add_argument("--value", default=None, help="residue to convert to components")
     p.add_argument("--u", default=None, help="vector file to convert to a residue")
-    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--p", type=_prime, default=None)
     p.add_argument("--level", type=int, default=None)
 
     p = verb("greenberg", _do_greenberg, help="component system of an integer polynomial")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--poly", required=True, help='JSON file: {"variables": [...], "terms": [...]}')
 
     p = verb("greenberg-law", _do_greenberg_law, seed=True, help="component-level composition law")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--d", type=int, required=True, help="degree cap")
     p.add_argument("--precision", type=int, default=None, help="build the degree-filtered law at this precision instead of the shape law")
     p.add_argument("--verify", choices=("exhaustive", "sampled"), default=None)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive, default=10000)
 
     p = verb("verify-law", _do_verify_law, seed=True, help="rebuild a stored law and check the group axioms")
     p.add_argument("--law", required=True)
     p.add_argument("--verify", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive, default=10000)
 
     p = verb("ad", _do_ad, ring=True, help="conjugate a congruence element")
     p.add_argument("--f", required=True)

@@ -565,6 +565,8 @@ def verify_group_axioms(
     elif mode == "sampled":
         if rng is None:
             raise PreconditionFailed("sampled verification needs an rng")
+        if samples < 1:
+            raise PreconditionFailed(f"need at least one sample, got {samples}")
         points = [sample_point(law, rng) for _ in range(min(samples, 400))]
         triples = [
             (sample_point(law, rng), sample_point(law, rng), sample_point(law, rng))

@@ -49,6 +49,11 @@ def invert_with_depth(f: TruncPoly) -> Tuple[TruncPoly, int]:
     taken (0 when a closed form applied immediately)."""
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
+    return _descend(f)
+
+
+def _descend(f: TruncPoly) -> Tuple[TruncPoly, int]:
+    # f is an automorphism, and so is every reduction of it
     ring = f.ring
     if f.degree() <= 1:
         return _affine_inverse(f), 0
@@ -60,7 +65,7 @@ def invert_with_depth(f: TruncPoly) -> Tuple[TruncPoly, int]:
     if 2 * f.identity_congruence() >= n:
         return _negate_about_identity(f), 0
     r = (n + 1) // 2
-    sub, depth = invert_with_depth(reduce_precision(f, r))
+    sub, depth = _descend(reduce_precision(f, r))
     phi = lift_precision(sub, n)
     kappa = f.compose(phi)
     if 2 * kappa.identity_congruence() < n:
@@ -68,7 +73,11 @@ def invert_with_depth(f: TruncPoly) -> Tuple[TruncPoly, int]:
             "half-precision inverse did not reduce the defect; "
             f"congruence level {kappa.identity_congruence()} at precision {n}"
         )
-    return phi.compose(_negate_about_identity(kappa)), depth + 1
+    # phi o (T - delta) with delta = kappa - T: the check above puts the
+    # coefficients of delta in q^k with q^(2k) = 0, so the Taylor expansion
+    # of phi around T stops after its linear term, phi - phi' * delta
+    delta = kappa - identity_map(ring)
+    return phi - phi.derivative() * delta, depth + 1
 
 
 def invert(f: TruncPoly) -> TruncPoly:

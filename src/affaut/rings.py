@@ -23,6 +23,7 @@ pure; nothing here mutates shared state after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -58,6 +59,13 @@ def _prime_power_split(m: int) -> Optional[tuple[int, int]]:
             return p, n
         return None
     return None
+
+
+def _require_prime(p) -> int:
+    """p, when it is a prime integer; PreconditionFailed otherwise."""
+    if not isinstance(p, int) or _prime_power_split(p) != (p, 1):
+        raise PreconditionFailed(f"{p!r} is not a prime")
+    return p
 
 
 def _factorize(m: int) -> dict[int, int]:
@@ -140,6 +148,12 @@ class Ring:
 
     def q_val(self, a) -> Union[int, float]:
         raise PreconditionFailed(f"{self} has no q-adic structure")
+
+    def q_val_min(self, xs: Sequence) -> Union[int, float]:
+        """The smallest q_val over xs; the q_val of zero when xs is
+        empty."""
+        vals = [self.q_val(x) for x in xs]
+        return min(vals) if vals else self.q_val(self.zero())
 
     def exact_div_q(self, a, k: int):
         raise PreconditionFailed(f"{self} has no q-adic structure")
@@ -365,6 +379,13 @@ class IntegerRing(Ring):
 # Integers mod m
 
 
+@functools.lru_cache(maxsize=128)
+def _prime_power_ring(p: int, k: int) -> "IntModRing":
+    """Z/p^k, shared between the precision changes of inversion, which
+    would otherwise factor the same modulus again on every call."""
+    return IntModRing(p ** k, q=p)
+
+
 class IntModRing(Ring):
     kind = "zmod"
 
@@ -463,6 +484,10 @@ class IntModRing(Ring):
             v += 1
         return v
 
+    def q_val_min(self, xs):
+        # p^k divides every x exactly when it divides their gcd with m
+        return self.q_val(math.gcd(self.m, *xs))
+
     def exact_div_q(self, a, k: int):
         """Divide the canonical representative by p^k.  The result is only
         canonical in Z/p^(n-k); callers that care re-reduce there."""
@@ -475,10 +500,7 @@ class IntModRing(Ring):
 
     def at_precision(self, k: int) -> "IntModRing":
         self._need_q()
-        return IntModRing(self.p ** k, q=self.p)
-
-    def with_modulus(self, m2: int) -> "IntModRing":
-        return IntModRing(m2)
+        return _prime_power_ring(self.p, k)
 
     def rand(self, rng):
         return rng.randrange(self.m)
@@ -520,10 +542,9 @@ class TruncSeriesRing(Ring):
         if base not in ("fp", "rationals"):
             raise PreconditionFailed(f"unknown base field {base!r}")
         if base == "fp":
-            if p is None or p < 2:
+            if p is None:
                 raise PreconditionFailed("prime p required for an F_p base")
-            if _prime_power_split(p) != (p, 1):
-                raise PreconditionFailed(f"{p} is not prime")
+            _require_prime(p)
         if e < 1:
             raise PreconditionFailed("truncation order must be positive")
         self.base = base
@@ -1172,27 +1193,3 @@ def universal_coefficient_ring(trunc: Optional[int] = None) -> SymbolicRing:
     return SymbolicRing(
         ("a", "b", "c", "d", "e", "q"), inverted="b", q="q", trunc=trunc
     )
-
-
-# Convenience functions mirroring the element methods, for callers that
-# prefer a functional style.
-
-
-def add(x: RingElem, y: RingElem) -> RingElem:
-    return x + y
-
-
-def mul(x: RingElem, y: RingElem) -> RingElem:
-    return x * y
-
-
-def inv(x: RingElem) -> RingElem:
-    return x.inv()
-
-
-def exact_div_by_q(x: RingElem, k: int = 1) -> RingElem:
-    return x.exact_div_by_q(k)
-
-
-def q_valuation(x: RingElem):
-    return x.q_valuation()

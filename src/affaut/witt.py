@@ -36,6 +36,7 @@ from .rings import (
     Ring,
     RingElem,
     SymbolicRing,
+    _require_prime,
 )
 
 
@@ -68,6 +69,7 @@ class WittVec:
     components: Tuple
 
     def __post_init__(self):
+        _require_prime(self.p)
         if len(self.components) < 1:
             raise ShapeMismatch("a Witt vector needs at least one component")
 
@@ -165,6 +167,7 @@ def _exact_div_int(ring: Ring, a, k: int, p: int):
 def unghost(p: int, ring: Ring, ghost: Sequence) -> WittVec:
     """Solve for the components with the given ghost sequence; needs a
     p-torsion-free ring so each division is exact."""
+    _require_prime(p)
     if not _is_torsion_free(ring):
         raise PreconditionFailed(f"unghost needs a p-torsion-free ring, got {ring}")
     if isinstance(ring, SymbolicRing) and ring.q != p:
@@ -328,6 +331,7 @@ def derive_witt_laws(p: int, level: int) -> UniversalWittLaw:
     """Run the ghost-solve engine on fully symbolic component vectors; the
     components of the symbolic sum/product are the universal laws.  Cached
     per (p, level); the cache is never mutated afterwards."""
+    _require_prime(p)
     key = (p, level)
     got = _LAW_CACHE.get(key)
     if got is not None:
@@ -366,11 +370,11 @@ def witt_to_residue(u: WittVec) -> RingElem:
     n = u.level
     if not isinstance(u.ring, (IntModRing, IntegerRing)):
         raise PreconditionFailed("residue identification needs integer components")
-    target = IntModRing(p ** (n + 1), q=p)
-    lifts = [int(c) % p for c in u.components]
+    m = p ** (n + 1)
+    target = IntModRing(m, q=p)
     total = 0
-    for i, c in enumerate(lifts):
-        total += p ** i * c ** (p ** (n - i))
+    for i, c in enumerate(u.components):
+        total += p ** i * pow(int(c) % p, p ** (n - i), m)
     return RingElem(target, target.from_int(total))
 
 
@@ -386,6 +390,7 @@ def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> 
     else:
         if p is None or level is None:
             raise PreconditionFailed("plain integers need explicit p and level")
+        _require_prime(p)
         ring = IntModRing(p ** (level + 1), q=p)
         val = ring.from_int(x)
     base = IntModRing(p, q=p)
@@ -394,7 +399,7 @@ def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> 
     for k in range(level + 1):
         partial = val
         for i, c in enumerate(comps):
-            partial = (partial - p ** i * c ** (p ** (level - i))) % m
+            partial = (partial - p ** i * pow(c, p ** (level - i), m)) % m
         if partial % p ** k:
             raise IntegralityViolation("digit extraction left a non-divisible rest")
         comps.append((partial // p ** k) % p)

@@ -19,7 +19,9 @@ from affaut.autgroup import (
     reduce_precision,
     sample_automorphism,
     sample_filtered,
+    sample_kernel_element,
 )
+from affaut.autgroup import _poly_mul
 from affaut.errors import NotAnAutomorphism, PreconditionFailed, ShapeMismatch
 from affaut.rings import IntModRing, TruncSeriesRing
 
@@ -144,7 +146,7 @@ def test_compose_affine_inner_long_outer():
         assert [c.value for c in got.coeffs] == compose_naive(fc, gc, 625)
 
 
-def test_compose_generic_ring_path():
+def test_compose_series_ring_path():
     R = TruncSeriesRing("fp", 3, p=5)
     f = P(R, [(1, 0, 0), (0, 1, 0)])
     g = P(R, [(2, 1, 0), (1, 0, 0), (0, 0, 1)])
@@ -152,6 +154,133 @@ def test_compose_generic_ring_path():
     # f = 1 + t*T so f(g) = 1 + t*g
     want = P(R, [(1, 2, 1), (0, 1, 0), (0, 0, 0)])
     assert out == want
+
+
+# schoolbook reference over F_p[t]/(t^e): coefficients are e-tuples of ints
+
+
+def series_mul_naive(x, y, p, e):
+    out = [0] * e
+    for i in range(e):
+        for j in range(e - i):
+            out[i + j] = (out[i + j] + x[i] * y[j]) % p
+    return tuple(out)
+
+
+def series_poly_mul_naive(a, b, p, e):
+    zero = (0,) * e
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            xy = series_mul_naive(x, y, p, e)
+            out[i + j] = tuple((u + v) % p for u, v in zip(out[i + j], xy))
+    while out and out[-1] == zero:
+        out.pop()
+    return out
+
+
+def series_compose_naive(f, g, p, e):
+    res = []
+    for a in reversed(f):
+        res = series_poly_mul_naive(res, g, p, e)
+        if res:
+            res[0] = tuple((u + v) % p for u, v in zip(res[0], a))
+        elif any(a):
+            res = [a]
+    while res and not any(res[-1]):
+        res.pop()
+    return res
+
+
+SERIES_PRIMES = (2, 3, 5, 7, 2147483647)  # the last needs slots wider than 8 bytes
+
+
+def _series_coeff(rng, p, e, nilpotent=False):
+    c = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(e)]
+    if nilpotent:
+        c[0] = 0
+    return tuple(c)
+
+
+def _series_poly(rng, p, e, length):
+    return [_series_coeff(rng, p, e) for _ in range(length)]
+
+
+def test_series_product_kernel_matches_schoolbook():
+    rng = random.Random(430)
+    for p in SERIES_PRIMES:
+        for e in range(1, 8):
+            R = TruncSeriesRing("fp", e, p=p)
+            for la, lb in [(0, 0), (0, 3), (1, 1), (1, 5), (2, 2), (4, 9), (13, 6)]:
+                a = P(R, _series_poly(rng, p, e, la)).raw_coeffs()
+                b = P(R, _series_poly(rng, p, e, lb)).raw_coeffs()
+                want = series_poly_mul_naive(a, b, p, e)
+                assert _poly_mul(a, b, R) == want
+                assert _poly_mul(b, a, R) == want
+                assert (P(R, a) * P(R, b)).raw_coeffs() == tuple(want)
+
+
+def test_series_compose_matches_schoolbook():
+    """Empty, constant and affine maps on either side, inner maps with a
+    slope that is not a unit, and long random maps."""
+    rng = random.Random(431)
+    for p in SERIES_PRIMES:
+        for e in range(1, 8):
+            R = TruncSeriesRing("fp", e, p=p)
+            unit = (rng.randrange(1, p),) + _series_coeff(rng, p, e)[1:]
+            shapes = [
+                [],
+                [_series_coeff(rng, p, e)],
+                [_series_coeff(rng, p, e), unit],
+                _series_poly(rng, p, e, 5),
+            ]
+            nonunit_slope = [_series_coeff(rng, p, e), _series_coeff(rng, p, e, True)]
+            nonunit_slope += [_series_coeff(rng, p, e, True) for _ in range(3)]
+            for fc in shapes + [_series_poly(rng, p, e, 9)]:
+                for gc in shapes + [nonunit_slope]:
+                    f, g = P(R, fc), P(R, gc)
+                    want = series_compose_naive(f.raw_coeffs(), g.raw_coeffs(), p, e)
+                    assert compose(f, g).raw_coeffs() == tuple(want)
+            # filtered automorphisms: the shape the group operations compose
+            if 2 <= e <= 5 and p < 100:
+                for d in (1, 2):
+                    f = sample_filtered(R, d, rng)
+                    g = sample_filtered(R, d, rng)
+                    want = series_compose_naive(f.raw_coeffs(), g.raw_coeffs(), p, e)
+                    assert compose(f, g).raw_coeffs() == tuple(want)
+
+
+def test_zmod_product_kernel_matches_schoolbook():
+    # moduli whose slots take 1, 2, 4, 8 bytes and more
+    rng = random.Random(432)
+    for m in (2, 16, 251, 3 ** 10, 2 ** 40, 2 ** 100):
+        for la, lb in [(0, 2), (1, 1), (3, 7), (20, 33), (70, 1)]:
+            a = _trim([rng.randrange(m) for _ in range(la)])
+            b = _trim([rng.randrange(m) for _ in range(lb)])
+            assert _poly_mul(a, b, IntModRing(m)) == poly_mul_naive(a, b, m)
+
+
+def test_compose_zmod_every_path_matches_schoolbook():
+    """Random pairs over Z/m, from 1-byte slots to wide ones: short pairs go
+    through the integers, longer ones by Horner, affine inner maps split
+    into pieces that go through the integers or by quadratic Horner, and
+    unit-slope inner maps with nilpotent tail take the expansion around
+    the affine part."""
+    rng = random.Random(433)
+    for m in (2, 12, 3 ** 6, 5 ** 6, 2 ** 40, 2 ** 100):
+        R = IntModRing(m)
+        for lf, lg in [(1, 3), (2, 2), (5, 4), (9, 9), (12, 12), (17, 2),
+                       (40, 2), (65, 2), (25, 9)]:
+            for nilpotent_tail in (False, True):
+                fc = [rng.randrange(m) for _ in range(lf)]
+                gc = [rng.randrange(m) for _ in range(lg)]
+                if nilpotent_tail and lg > 2:
+                    gc[1] = 1
+                    gc[2:] = [R.radical * rng.randrange(m // R.radical)
+                              for _ in range(lg - 2)]
+                got = compose(P(R, fc), P(R, gc))
+                want = compose_naive(fc, _trim(list(gc)), m)
+                assert [c.value for c in got.coeffs] == want, (m, lf, lg)
 
 
 def test_compose_zero_and_constant():
@@ -287,6 +416,45 @@ def test_member_filtered_degree_violation():
         coeffs.append(p)  # q * T^(d+1)
         f = P(R, coeffs)
         assert not member(f, SubgroupSpec(flavor="atilde", d=d))
+
+
+def test_member_atilde_matches_degree_bounds():
+    """Membership in the degree-filtered subgroup against its definition,
+    deg(f mod q^m) <= d*2^(m-2) for 2 <= m <= n, on filtered samples with
+    one coefficient pushed off its valuation now and then."""
+    rng = random.Random(379)
+    for p, n in ((2, 5), (3, 4), (5, 3), (2, 1)):
+        R = IntModRing(p ** n, q=p)
+        for _ in range(60):
+            d = rng.randrange(1, 4)
+            c = list(sample_filtered(R, d, rng).raw_coeffs())
+            if len(c) > 2 and rng.random() < 0.6:
+                i = rng.randrange(2, len(c))
+                c[i] = (c[i] + p) % (p ** n)
+            f = P(R, c)
+            for dd in (0, 1, d, d + 1):
+                want = all(
+                    (f.degree_mod(m) or 0) <= dd * 2 ** (m - 2)
+                    for m in range(2, n + 1)
+                )
+                assert member(f, SubgroupSpec.parse(f"atilde:{dd}")) == want
+
+
+def test_identity_congruence_matches_valuations():
+    rng = random.Random(380)
+    R = IntModRing(3 ** 5, q=3)
+    S = TruncSeriesRing("fp", 4, p=2)
+    for _ in range(50):
+        r = rng.randrange(0, 6)
+        f = sample_kernel_element(R, r, rng.randrange(0, 5), rng)
+        c = list(f.raw_coeffs()) + [0] * (2 - len(f.raw_coeffs()))
+        c[1] -= 1
+        want = min(min(R.q_val(x % 243) for x in c), 5)
+        assert f.identity_congruence() == want
+    assert P(R, []).identity_congruence() == 0
+    assert P(R, [9, 1]).identity_congruence() == 2
+    assert P(S, [(0, 0, 1, 0), (1, 0, 0, 1)]).identity_congruence() == 2
+    assert identity_map(S).identity_congruence() == 4
 
 
 def test_member_rejects_non_automorphism():
@@ -665,3 +833,18 @@ def test_truncpoly_repr_readable():
     assert repr(P(R, [2, 7, 15])) == "2 + 7*T + 15*T^2"
     assert repr(P(R, [])) == "0"
     assert repr(identity_map(R)) == "T"
+
+
+def test_coeffs_must_be_a_list():
+    R = IntModRing(81, q=3)
+    with pytest.raises(PreconditionFailed):
+        TruncPoly.from_json(R, {"coeffs": "12"})
+    assert TruncPoly.from_json(R, {"coeffs": ["1", "2"]}) == P(R, [1, 2])
+
+
+def test_composition_series_rejects_zero_samples():
+    for ring in (IntModRing(81, q=3), IntModRing(72)):
+        with pytest.raises(PreconditionFailed):
+            composition_series(ring, rng=random.Random(1), samples=0)
+        steps = composition_series(ring, rng=random.Random(1), samples=1)
+        assert steps and all(s.pairs_checked == 1 for s in steps)

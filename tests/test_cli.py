@@ -343,3 +343,52 @@ def test_text_format_for_polynomials(tmp_path, capsys):
     assert code == 0
     ring = IntModRing(27, q=3)
     assert out.strip() == repr(TruncPoly(ring, [1, 4, 3]))
+
+
+def test_malformed_modulus_is_a_usage_error(tmp_path, capsys):
+    fp = write_poly(tmp_path, "f.json", [1, 1])
+    code, _, err = run(
+        capsys, "compose", "--ring", "zmod:abc", "--f", fp, "--g", fp
+    )
+    assert code == 2 and "usage error" in err and "Traceback" not in err
+
+
+def test_string_coeffs_are_a_usage_error(tmp_path, capsys):
+    # a string is not read as its characters
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps({"coeffs": "12"}))
+    fp = write_poly(tmp_path, "f.json", [0, 1])
+    code, out, err = run(
+        capsys, "compose", "--ring", "zmod:81:q=3", "--f", str(sp), "--g", fp
+    )
+    assert code == 2 and out == "" and "coeffs must be a list" in err
+
+
+def test_non_prime_p_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "witt-derive", "--p", "4", "--level", "1")
+    assert code == 2 and out == "" and "not a prime" in err
+    code, _, err = run(capsys, "greenberg-law", "--p", "6", "--d", "1")
+    assert code == 2 and "not a prime" in err
+    code, _, err = run(
+        capsys, "witt-iso", "--value", "3", "--p", "1", "--level", "1"
+    )
+    assert code == 2 and "not a prime" in err
+    vec = tmp_path / "u.json"
+    vec.write_text(json.dumps(
+        {"p": 4, "ring": {"kind": "zmod", "m": "4"}, "components": ["1", "2"]}
+    ))
+    code, _, err = run(capsys, "ghost", "--u", str(vec))
+    assert code == 2 and "not a prime" in err
+
+
+def test_sampled_verdicts_need_a_positive_sample_count(tmp_path, capsys):
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(gb.group_law_shape(2, 1).to_json()))
+    for samples in ("-5", "0"):
+        for argv in (
+            ["series", "--ring", "zmod:81:q=3"],
+            ["greenberg-law", "--p", "2", "--d", "1", "--verify", "sampled"],
+            ["verify-law", "--law", str(law), "--verify", "sampled"],
+        ):
+            code, out, err = run(capsys, *argv, "--seed", "1", "--samples", samples)
+            assert code == 2 and out == "" and "--samples" in err

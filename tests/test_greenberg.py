@@ -212,6 +212,23 @@ def test_transform_rejects_non_symbolic_input():
         greenberg_transform(RingElem(ring, 1), 2, 1)
 
 
+def test_non_prime_p_is_rejected():
+    f = sym_poly(["x"], lambda R: R.mul(R.gen("x"), R.gen("x")))
+    for p in (1, 4, 6):
+        with pytest.raises(PreconditionFailed):
+            greenberg_transform(f, p, 1)
+        with pytest.raises(PreconditionFailed):
+            group_law_shape(p, 2)
+        with pytest.raises(PreconditionFailed):
+            group_law_capped(p, 2, 1)
+
+
+def test_sampled_axioms_need_a_sample():
+    law = group_law_shape(2, 1)
+    with pytest.raises(PreconditionFailed):
+        verify_group_axioms(law, mode="sampled", rng=random.Random(1), samples=0)
+
+
 def test_transform_json():
     f = sym_poly(("x",), lambda R: R.mul(R.gen("x"), R.gen("x")))
     cs = greenberg_transform(f, 2, 1)

@@ -110,6 +110,22 @@ def test_intmod_q_structure():
         IntModRing(12, q=2)
 
 
+def test_q_val_min_is_smallest_valuation():
+    rng = random.Random(903)
+    R = IntModRing(5 ** 4, q=5)
+    S = TruncSeriesRing("fp", 3, p=3)
+    for _ in range(100):
+        xs = [rng.choice([0, 1, 5, 25, 125]) * rng.randrange(625) % 625
+              for _ in range(rng.randrange(0, 6))]
+        assert R.q_val_min(xs) == min([R.q_val(x) for x in xs], default=4)
+        ys = [tuple(rng.randrange(3) * (i >= k) for i in range(3))
+              for k in (rng.randrange(4) for _ in range(rng.randrange(0, 4)))]
+        assert S.q_val_min(ys) == min([S.q_val(y) for y in ys], default=3)
+    assert R.q_val_min([0, 250, 125]) == 3
+    with pytest.raises(PreconditionFailed):
+        IntModRing(12).q_val_min([6])
+
+
 def test_intmod_nilpotency_matches_brute_force():
     for m in (4, 9, 12, 16, 72):
         R = IntModRing(m)

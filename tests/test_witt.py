@@ -1,5 +1,6 @@
 """Witt vector arithmetic against the ghost-map defining equations."""
 
+import itertools
 import json
 import pathlib
 import random
@@ -422,6 +423,40 @@ def test_residue_lift_independence():
                 signed += p ** i * alt ** (p ** (n - i))
             assert canonical % mod == signed % mod
             assert witt_to_residue(fp_vec(p, comps)).value == canonical % mod
+
+
+def _residue_by_exact_powers(p, comps):
+    # the defining formula, with every power taken over the integers
+    n = len(comps) - 1
+    return sum(p ** i * c ** (p ** (n - i)) for i, c in enumerate(comps)) % p ** (n + 1)
+
+
+def test_residue_maps_match_the_exact_formula():
+    for p in (2, 3, 5):
+        for n in range(4):
+            for comps in itertools.product(range(p), repeat=n + 1):
+                x = _residue_by_exact_powers(p, comps)
+                assert witt_to_residue(fp_vec(p, comps)).value == x
+                assert residue_to_witt(x, p=p, level=n) == fp_vec(p, comps)
+
+
+def test_residue_roundtrip_at_high_level():
+    # exact powers here would have 7^7 = 823543-fold exponents
+    for comps in ([6] * 8, [3] * 8, [0, 6, 1, 5, 2, 4, 3, 6]):
+        u = fp_vec(7, comps)
+        assert residue_to_witt(witt_to_residue(u)) == u
+
+
+def test_p_must_be_prime():
+    for p in (1, 4, 6, 9):
+        with pytest.raises(PreconditionFailed):
+            derive_witt_laws(p, 1)
+        with pytest.raises(PreconditionFailed):
+            residue_to_witt(3, p=p, level=1)
+        with pytest.raises(PreconditionFailed):
+            WittVec.make(p, IntegerRing(), [1, 2])
+        with pytest.raises(PreconditionFailed):
+            unghost(p, IntegerRing(), [1, 3])
 
 
 # ---------------------------------------------------------------------------
