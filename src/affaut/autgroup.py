@@ -14,13 +14,24 @@ composes by one Horner loop over that kernel.  Over Z/m three more paths
 take over: at high degree an affine inner map, and an expansion around
 the affine part of a unit-slope inner map with nilpotent tail; at low
 degree, one Horner pass over big integers that carry the exact integer
-coefficients.  The tests check every path against a schoolbook reference.
+coefficients.  The first two read the valuations of their inputs: a
+block of coefficients divisible by g = gcd(m, block) (q^v over Z/p^n) is
+worked on as block/g mod m/g and scaled back, so in the filtered groups,
+where high degrees carry high powers of q, the high-degree work runs at
+low precision and stops where the precision runs out.  The tests check
+every path against a schoolbook reference.
+
+The order of an automorphism comes from the q-adic filtration as well:
+stepping finds the order of its affine reduction mod q, and a p-power
+ladder the order in the kernel of that reduction, a p-group over Z/p^n
+and F_p[t]/(t^e); see :func:`order`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -122,14 +133,6 @@ def _series_times(b: Sequence[tuple], ring: TruncSeriesRing):
     return times
 
 
-def _int_add(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = [(x + y) % m for x, y in zip(a, b)]
-    out += a[len(b):]
-    return _int_trim(out)
-
-
 # Compositions over Z/m whose exact integer result packs into at most this
 # many bytes run through the integers; larger ones reduce mod m as they go.
 _EXACT_BYTES = 512
@@ -178,7 +181,11 @@ def _affine_compose_int(
 ) -> list:
     """f(c + u*T) mod m.  Short f goes through the integers while the
     result packs small, or else by quadratic Horner; longer f splits in
-    half and recombines with one Kronecker multiply per level."""
+    half, f = lo + T^h * hi, and recombines with one Kronecker multiply.
+    The high half is divided by its common divisor g with m (q^v over
+    Z/p^n, where the q-adic filtration puts high valuations on high
+    degrees): g * (hi/g)(c + u*T) needs hi/g only mod m/g, so the
+    recursion and its product run at the smaller modulus."""
     if not f:
         return []
     if len(f) <= 16:
@@ -192,15 +199,23 @@ def _affine_compose_int(
             new.append(u * res[-1] % m)
             res = new
         return _int_trim(res)
-    rows = {} if rows is None else rows  # (c + u*T)^h by h, for this call
+    rows = {} if rows is None else rows  # (c + u*T)^h mod m', by (h, m')
     half = len(f) >> 1
     lo = _affine_compose_int(f[:half], c, u, m, rows)
-    hi = _affine_compose_int(f[half:], c, u, m, rows)
+    g = math.gcd(m, *f[half:])
+    mg = m // g
+    if mg == 1:
+        return lo
+    hi = _affine_compose_int(
+        _int_trim([x // g for x in f[half:]]), c % mg, u % mg, mg, rows
+    )
     if not hi:
-        return _int_trim(lo)
-    if half not in rows:
-        rows[half] = _affine_power_row(c, u, half, m)
-    return _int_add(lo, _kron_mul(hi, rows[half], m), m)
+        return lo
+    if (half, mg) not in rows:
+        rows[half, mg] = _affine_power_row(c, u, half, mg)
+    top = _kron_mul(hi, rows[half, mg], mg)
+    pairs = itertools.zip_longest(lo, top, fillvalue=0)
+    return _int_trim([(x + g * y) % m for x, y in pairs])
 
 
 def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
@@ -211,7 +226,12 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
     with H_j the j-th Hasse derivative and b0 = g_0 + g_1*T.  Because
     (H_j f)(b0) = u^-j * H_j(f o b0) when b0 is affine with unit slope u,
     one affine composition plus cheap binomial scalings covers every j.
-    The sum is finite since rest has nilpotent coefficients."""
+
+    With s = rest/u and d = gcd(m, s) (q^sigma over Z/p^n), term j is
+    d^j * H_j(f o b0) * (s/d)^j, so both factors are needed only mod
+    m_j = m / gcd(m, d^j).  The filtration makes the high coefficients of
+    both vanish there, so the products shrink as j grows, and the sum
+    stops at m_j = 1, which nilpotency of rest guarantees."""
     m = ring.m
     if not f:
         return []
@@ -221,29 +241,43 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
     rest = _int_trim([0, 0] + list(g[2:]))
     if not rest or len(f) == 1:
         return base
-    # (H_j f)(b0) * rest^j = H_j(base) * (rest/u)^j.  The binomial rows
-    # C(i, j) come from running sums of the previous row, and the terms
-    # add up in one packed integer: a slot sums base's coefficient and at
-    # most len(base) products below m^2 for each j < top.
     uinv = ring.inv(u)
-    s = _int_trim([x * uinv % m for x in rest])
-    times_s = _kron_times(s, m)
-    top = min(len(f), ring.nilpotency_index)
-    w = _slot_width(2 * (m - 1).bit_length() + (top * len(base)).bit_length())
+    s = [x * uinv % m for x in rest]
+    d = math.gcd(m, *s)
+    t = [x // d for x in s]
+    # d^j = G * e with G = gcd(m, d^j) and m_j = m / G, so term j is
+    # G * (e * H_j(base) * t^j mod m_j).  The terms add up in one packed
+    # integer: a slot sums base's coefficient and at most len(base)
+    # products below m^2 for each j < terms, since d, a multiple of the
+    # radical of m, has d^j = 0 mod m from the nilpotency index on.  The
+    # binomial rows C(i, j) come from running sums of the previous row.
+    terms = min(len(f), ring.nilpotency_index)
+    w = _slot_width(2 * (m - 1).bit_length() + (terms * len(base)).bit_length())
     acc = _pack(base, w)
     count = len(base)
-    power = s
+    power = []
     binom = [1] * len(base)
-    for j in range(1, top):
-        if j > 1:
-            power = times_s(power)
+    top = len(base)  # base[top:] vanishes mod m_j
+    scale = 1
+    for j in range(1, terms):
+        scale = scale * d % m
+        big = math.gcd(m, scale)
+        mj = m // big
+        if mj == 1:
+            break
+        while top > j and not base[top - 1] % mj:
+            top -= 1
+        if top <= j:
+            break
+        t = _int_trim([x % mj for x in t])
+        power = _kron_mul([x % mj for x in power], t, mj) if power else t
         if not power:
             break
-        binom = [0, *itertools.accumulate(binom[:-1])]
-        hj = [k * b % m for k, b in zip(binom[j:], base[j:])]
-        if hj:
-            acc += _pack(hj, w) * _pack(power, w)
-            count = max(count, len(hj) + len(power) - 1)
+        e = scale // big
+        binom = [0, *itertools.accumulate(binom[:top - 1])]
+        hj = [big * (k * b * e % mj) for k, b in zip(binom[j:], base[j:top])]
+        acc += _pack(hj, w) * _pack(power, w)
+        count = max(count, len(hj) + len(power) - 1)
     return _int_trim([x % m for x in _unpack(acc, count, w)])
 
 
@@ -579,28 +613,30 @@ def lift_precision(f: TruncPoly, n: int) -> TruncPoly:
 # iteration and order
 
 
+def _power(f: TruncPoly, r: int) -> TruncPoly:
+    """f^(r) for r >= 0 by repeated squaring, without composing with T."""
+    acc = None
+    while r:
+        if r & 1:
+            acc = f if acc is None else acc.compose(f)
+        r >>= 1
+        if r:
+            f = f.compose(f)
+    return identity_map(f.ring) if acc is None else acc
+
+
 def iterate(f: TruncPoly, r: int) -> TruncPoly:
     """r-fold composition of f with itself (r >= 0) by repeated squaring;
     iterates of automorphisms keep the degree bounds of their filtered
     subgroup, so sizes stay tame."""
     if r < 0:
         raise PreconditionFailed("negative iteration count")
-    acc = identity_map(f.ring)
-    base = f
-    while r:
-        if r & 1:
-            acc = acc.compose(base)
-        r >>= 1
-        if r:
-            base = base.compose(base)
-    return acc
+    return _power(f, r)
 
 
-def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
-    """Least k >= 1 with f^(k) = T, or None when no order is found within
-    cap compositions."""
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
+def _step_order(f: TruncPoly, cap: int) -> Optional[int]:
+    """Least k <= cap with f^(k) = T, one composition per step; None
+    when there is none."""
     ident = identity_map(f.ring)
     g = f
     k = 1
@@ -609,6 +645,55 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
             return None
         g = g.compose(f)
         k += 1
+    return k
+
+
+def _residue_characteristic(ring: Ring) -> Optional[int]:
+    """p for Z/p^n and F_p[t]/(t^e), 0 for rings of characteristic 0
+    (Q[t]/(t^e), the integers and symbolic rings), None for composite
+    Z/m, which has no q."""
+    if isinstance(ring, (IntModRing, TruncSeriesRing)) and ring.p is not None:
+        return ring.p
+    return None if isinstance(ring, IntModRing) else 0
+
+
+def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
+    """Least k >= 1 with f^(k) = T, or None when the order exceeds cap
+    (infinite orders included).
+
+    Reduction mod q is a homomorphism onto the affine maps over the
+    residue ring, and its kernel, the maps T mod q, is filtered by the
+    layers T + q^r h mod q^(r+1), each an additive group.  So the order
+    of f is k0, the order of its affine reduction, times the order of
+    f^(k0) in the kernel.  Stepping finds k0, at most cap compositions
+    of affine maps.  In residue characteristic p every layer has exponent
+    p, the kernel is a p-group, and a p-power ladder f^(k0 p^i) ends at T
+    after at most n - 1 rungs over Z/p^n (e - 1 over F_p[t]/(t^e)).  In
+    characteristic 0 the layers are torsion-free, and over these residue
+    rings (Q, and integer polynomials with b inverted) an affine map of
+    finite order has order 1 or 2: u^k = 1 forces u = +-1, and T + c has
+    infinite order unless c = 0.  So the order is k0 <= 2 when f^(k0) = T
+    and infinite otherwise.  Composite Z/m has no q: there stepping runs
+    on f itself."""
+    if cap < 1:
+        raise PreconditionFailed(f"cap must be at least 1, got {cap}")
+    if not f.is_automorphism():
+        raise NotAnAutomorphism(repr(f))
+    ring = f.ring
+    p = _residue_characteristic(ring)
+    if p is None:
+        return _step_order(f, cap)
+    affine = reduce_precision(f, 1) if ring.truncation is not None else f
+    k = _step_order(affine, cap if p else min(cap, 2))
+    if k is None:
+        return None
+    h = _power(f, k)
+    ident = identity_map(ring)
+    while h != ident:
+        if not p or k * p > cap:
+            return None
+        h = _power(h, p)
+        k *= p
     return k
 
 

@@ -70,7 +70,8 @@ def _prime(s: str) -> int:
 
 
 def _positive(s: str) -> int:
-    """argparse type for --samples: a verdict needs at least one check."""
+    """argparse type for --samples and --cap: a verdict needs at least one
+    check, and an order search at least one step."""
     try:
         k = int(s)
     except ValueError as e:
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("order", _do_order, ring=True, help="order under composition")
     p.add_argument("--f", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=_positive, default=10 ** 6)
 
     p = verb("member", _do_member, ring=True, help="subgroup membership")
     p.add_argument("--f", required=True)

@@ -24,6 +24,7 @@ pure; nothing here mutates shared state after construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -45,42 +46,124 @@ def _as_int(s) -> int:
     return int(str(s), 10)
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below 3317044064679887385961981 (Sorenson and Webster, Math.
+# Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(m: int) -> bool:
+    """Strong-probable-prime test to the bases _MR_BASES.
+
+    Exact for m below about 3.3 * 10^24 (the bound above).  Above it
+    every prime is still reported prime, but a composite that is a strong
+    pseudoprime to all thirteen bases is misread as prime, as the bound
+    itself is.  Such composites are rare and do not turn up by chance,
+    yet they can be built on purpose: there, primality is trusted, not
+    proven."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method on integers."""
+    x = 1 << -(-m.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power_split(m: int) -> Optional[tuple[int, int]]:
-    """Return (p, n) with m = p^n and p prime, or None."""
+    """Return (p, n) with m = p^n and p prime, or None: one primality
+    test per exponent n with an exact integer n-th root."""
     if m < 2:
         return None
-    for p in _factorize(m):
-        n = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            n += 1
-        if mm == 1:
+    for n in range(1, m.bit_length() + 1):
+        p = _iroot(m, n)
+        if p ** n == m and _is_prime(p):
             return p, n
-        return None
     return None
 
 
 def _require_prime(p) -> int:
     """p, when it is a prime integer; PreconditionFailed otherwise."""
-    if not isinstance(p, int) or _prime_power_split(p) != (p, 1):
+    if not isinstance(p, int) or not _is_prime(p):
         raise PreconditionFailed(f"{p!r} is not a prime")
     return p
 
 
+def _rho_divisor(m: int) -> int:
+    """A proper divisor of the odd composite m by Pollard's rho in Brent's
+    form, gcds taken over batches of 128 steps.  It takes about p^(1/2)
+    steps for the smallest prime factor p of m: fast while p is below
+    about 10^12, hours for two factors near 10^20."""
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    acc = acc * abs(x - y) % m
+                g = math.gcd(acc, m)
+                k += 128
+            r <<= 1
+        if g == m:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
 def _factorize(m: int) -> dict[int, int]:
-    """Trial-division factorization; fine for the moduli this package is
-    used with (acceptance suite stays below 10^10)."""
+    """Prime factorization: trial division below 1000, then prime powers
+    are split by _prime_power_split and other composites by
+    _rho_divisor.  Primality is decided by _is_prime, with the guarantee
+    stated there."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
+    for d in range(2, 1000):
+        if d * d > m:
+            break
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    todo = [m] if m > 1 else []
+    while todo:
+        x = todo.pop()
+        split = _prime_power_split(x)
+        if split:
+            p, n = split
+            out[p] = out.get(p, 0) + n
+        else:
+            d = _rho_divisor(x)
+            todo += [d, x // d]
+    return dict(sorted(out.items()))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -219,14 +302,7 @@ class RingElem:
     def __pow__(self, k: int):
         if k < 0:
             raise PreconditionFailed("negative powers go through inv()")
-        out = self.ring.one()
-        base = self.value
-        while k:
-            if k & 1:
-                out = self.ring.mul(out, base)
-            base = self.ring.mul(base, base)
-            k >>= 1
-        return RingElem(self.ring, out)
+        return RingElem(self.ring, _pow_payload(self.ring, self.value, k))
 
     def inv(self) -> "RingElem":
         return RingElem(self.ring, self.ring.inv(self.value))
@@ -1114,12 +1190,14 @@ class SymbolicRing(Ring):
 
 
 def _pow_payload(ring: Ring, v, k: int):
+    """v^k for k >= 0 by binary powering; the last square is skipped."""
     out = ring.one()
     while k:
         if k & 1:
             out = ring.mul(out, v)
-        v = ring.mul(v, v)
         k >>= 1
+        if k:
+            v = ring.mul(v, v)
     return out
 
 

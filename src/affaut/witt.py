@@ -36,24 +36,13 @@ from .rings import (
     Ring,
     RingElem,
     SymbolicRing,
+    _pow_payload,
     _require_prime,
 )
 
 
 def _is_torsion_free(ring: Ring) -> bool:
     return isinstance(ring, (IntegerRing, SymbolicRing))
-
-
-def _pow(ring: Ring, a, e: int):
-    acc = ring.one()
-    base = a
-    while e:
-        if e & 1:
-            acc = ring.mul(acc, base)
-        e >>= 1
-        if e:
-            base = ring.mul(base, base)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +113,8 @@ def witt_polynomial(p: int, j: int, prefix: str = "x") -> RingElem:
     acc = ring.zero()
     for i in range(j + 1):
         gi = ring.gen(f"{prefix}{i}")
-        acc = ring.add(acc, ring.mul(ring.from_int(p ** i), _pow(ring, gi, p ** (j - i))))
+        term = _pow_payload(ring, gi, p ** (j - i))
+        acc = ring.add(acc, ring.mul(ring.from_int(p ** i), term))
     return RingElem(ring, acc)
 
 
@@ -137,9 +127,8 @@ def ghost_components(u: WittVec) -> Tuple:
     for j in range(len(u.components)):
         acc = ring.zero()
         for i in range(j + 1):
-            term = ring.mul(
-                ring.from_int(p ** i), _pow(ring, u.components[i], p ** (j - i))
-            )
+            power = _pow_payload(ring, u.components[i], p ** (j - i))
+            term = ring.mul(ring.from_int(p ** i), power)
             acc = ring.add(acc, term)
         out.append(acc)
     return tuple(out)
@@ -178,9 +167,8 @@ def unghost(p: int, ring: Ring, ghost: Sequence) -> WittVec:
     for j, g in enumerate(ghost):
         acc = ring.pay(g)
         for i in range(j):
-            acc = ring.sub(
-                acc, ring.mul(ring.from_int(p ** i), _pow(ring, comps[i], p ** (j - i)))
-            )
+            power = _pow_payload(ring, comps[i], p ** (j - i))
+            acc = ring.sub(acc, ring.mul(ring.from_int(p ** i), power))
         comps.append(_exact_div_int(ring, acc, j, p))
     return WittVec(p, ring, tuple(comps))
 

@@ -283,6 +283,65 @@ def test_compose_zmod_every_path_matches_schoolbook():
                 assert [c.value for c in got.coeffs] == want, (m, lf, lg)
 
 
+def _valued(rng, p, n, length, vmin=0):
+    """Coefficients p^v * r mod p^n, v uniform in [vmin, n]: an arbitrary
+    valuation profile, with zeros (v = n) anywhere in the list."""
+    m = p ** n
+    return [p ** v * rng.randrange(1, m) % m for v in
+            (rng.randint(vmin, n) for _ in range(length))]
+
+
+def test_compose_zmod_valuation_profiles_match_schoolbook():
+    """Over Z/p^n up to n = 10, maps whose coefficients carry arbitrary
+    valuations, not the filtered ones: the Taylor path with tails of
+    valuation sigma = 1, 2, 3 (so the terms stop at j*sigma >= n, and the
+    powers and derivatives run at falling moduli p^(n - j*sigma)), and the
+    affine path, whose halves are divided by their common power of p."""
+    rng = random.Random(434)
+    for p in (2, 3, 5, 7):
+        for n in (2, 4, 7, 10):
+            m = p ** n
+            R = IntModRing(m, q=p)
+            for sigma in (1, 2, 3):
+                lf, lg = rng.randrange(13, 26), rng.randrange(9, 12)
+                fc = _valued(rng, p, n, lf)
+                fc[-1] = fc[-1] or 1
+                gc = [rng.randrange(m), rng.randrange(1, m)]
+                while gc[1] % p == 0:
+                    gc[1] = rng.randrange(1, m)
+                gc += _valued(rng, p, n, lg - 2, vmin=min(sigma, n))
+                got = compose(P(R, fc), P(R, gc))
+                assert [c.value for c in got.coeffs] == compose_naive(fc, _trim(gc), m), (p, n, sigma)
+            for slope in (rng.randrange(1, m), p * rng.randrange(1, m // p) if n > 1 else 1):
+                fc = _valued(rng, p, n, rng.randrange(25, 70))
+                fc[-1] = fc[-1] or 1
+                gc = [rng.randrange(m), slope]
+                got = compose(P(R, fc), P(R, gc))
+                assert [c.value for c in got.coeffs] == compose_naive(fc, gc, m), (p, n)
+
+
+def test_compose_composite_modulus_scaled_terms_match_schoolbook():
+    """Composite m with a tail whose gcd d with m has powers d^j that are
+    not divisors of m (m = 96, d = 6: 36 = 12 * 3), and affine halves with
+    a common divisor of m."""
+    rng = random.Random(435)
+    for m in (96, 864, 1800):
+        R = IntModRing(m)
+        rad = R.radical
+        for _ in range(4):
+            fc = [rng.randrange(m) * rng.choice((1, 2, 6, 30)) % m for _ in range(20)]
+            fc[-1] = fc[-1] or 1
+            gc = [rng.randrange(m), R.rand_unit(rng)]
+            gc += [rad * rng.randrange(m // rad) for _ in range(8)]
+            got = compose(P(R, fc), P(R, gc))
+            assert [c.value for c in got.coeffs] == compose_naive(fc, _trim(gc), m), m
+            fc = [rng.randrange(m) * rng.choice((1, 2, 6, 30)) % m for _ in range(40)]
+            fc[-1] = fc[-1] or 1
+            gc = [rng.randrange(m), rng.randrange(1, m)]
+            got = compose(P(R, fc), P(R, gc))
+            assert [c.value for c in got.coeffs] == compose_naive(fc, gc, m), m
+
+
 def test_compose_zero_and_constant():
     R = IntModRing(27, q=3)
     z = P(R, [])
@@ -649,6 +708,115 @@ def test_order_nontrivial_mod16():
 def test_order_cap_returns_none():
     R = IntModRing(729, q=3)
     assert order(P(R, [1, 1]), cap=100) is None
+
+
+def _reference_order(f, step, ident, cap):
+    """Least k <= cap with f^(k) = ident by plain stepping, or None."""
+    g = f
+    for k in range(1, cap + 1):
+        if g == ident:
+            return k
+        g = step(g, f)
+    return None
+
+
+def _check_order(f, want):
+    assert order(f) == want
+    if want is not None:
+        assert order(f, cap=want) == want
+        if want > 1:
+            assert order(f, cap=want - 1) is None
+
+
+def test_order_matches_stepping_reference():
+    """The affine stage and the p-power ladder against one composition per
+    step: Z/p^n, F_p[t]/(t^e) and composite Z/m, each order also with cap
+    equal to it (returned) and one below it (None)."""
+    rng = random.Random(436)
+    for p, top in ((2, 6), (3, 5), (5, 3)):
+        for n in range(1, top + 1):
+            m = p ** n
+            R = IntModRing(m, q=p)
+            for deg in (1, 2, 3):
+                fc = list(sample_automorphism(R, deg, rng).raw_coeffs())
+                want = _reference_order(
+                    fc, lambda a, b: compose_naive(a, b, m), [0, 1], 10 ** 4
+                )
+                assert want is not None
+                _check_order(P(R, fc), want)
+    for p, e in ((2, 3), (2, 4), (3, 3), (5, 2)):
+        R = TruncSeriesRing("fp", e, p=p)
+        ident = [(0,) * e, (1,) + (0,) * (e - 1)]
+        for deg in (1, 2, 3):
+            fc = list(sample_automorphism(R, deg, rng).raw_coeffs())
+            want = _reference_order(
+                fc, lambda a, b: series_compose_naive(a, b, p, e), ident, 10 ** 4
+            )
+            assert want is not None
+            _check_order(P(R, fc), want)
+    for m in (12, 36):
+        R = IntModRing(m)
+        for deg in (1, 2, 3):
+            fc = list(sample_automorphism(R, deg, rng).raw_coeffs())
+            want = _reference_order(
+                fc, lambda a, b: compose_naive(a, b, m), [0, 1], 10 ** 4
+            )
+            _check_order(P(R, fc), want)
+
+
+def test_order_in_characteristic_zero():
+    """Over Q[t]/(t^3) the kernel of reduction mod t is torsion-free and an
+    affine map of finite order has order 1 or 2."""
+    R = TruncSeriesRing("rationals", 3)
+    t = (0, 1, 0)
+
+    def Q(*coeffs):
+        return P(R, [R.from_int(c) if isinstance(c, int) else c for c in coeffs])
+
+    ident = identity_map(R)
+    for f, want in [
+        (Q(0, 1), 1),
+        (Q(0, -1), 2),
+        (Q(1, -1), 2),
+        (Q(t, -1), 2),
+        (Q(1, 1), None),
+        (Q(0, 2), None),
+        (Q(t, 1), None),
+        (Q(0, 1, t), None),
+        (Q(0, -1, t), None),
+    ]:
+        assert _reference_order(f, compose, ident, 50) == want
+        _check_order(f, want)
+
+
+def test_order_takes_few_compositions(monkeypatch):
+    """T + t*T^2 over Q[t]/(t^3) has infinite order, found without stepping
+    to the cap; an order 4 * 5^5 over Z/5^6 takes tens of compositions,
+    not thousands."""
+    calls = []
+    compose_once = TruncPoly.compose
+
+    def counting(self, g):
+        calls.append(1)
+        return compose_once(self, g)
+
+    monkeypatch.setattr(TruncPoly, "compose", counting)
+    R = TruncSeriesRing("rationals", 3)
+    f = P(R, [R.zero(), R.one(), (0, 1, 0)])
+    assert order(f, cap=100000) is None
+    assert len(calls) <= 2
+    calls.clear()
+    R = IntModRing(5 ** 6, q=5)
+    f = P(R, [1, 2, 5])
+    assert order(f) == 4 * 5 ** 5
+    assert len(calls) <= 50
+
+
+def test_order_rejects_a_cap_below_one():
+    R = IntModRing(9, q=3)
+    for cap in (0, -3):
+        with pytest.raises(PreconditionFailed):
+            order(identity_map(R), cap=cap)
 
 
 def test_order_rejects_non_automorphism():

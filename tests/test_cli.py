@@ -392,3 +392,22 @@ def test_sampled_verdicts_need_a_positive_sample_count(tmp_path, capsys):
         ):
             code, out, err = run(capsys, *argv, "--seed", "1", "--samples", samples)
             assert code == 2 and out == "" and "--samples" in err
+
+
+def test_order_cap_below_one_is_a_usage_error(tmp_path, capsys):
+    fp = write_poly(tmp_path, "f.json", [0, 1])
+    for cap in ("0", "-3"):
+        code, out, err = run(
+            capsys, "order", "--ring", "zmod:8:q=2", "--f", fp, "--cap", cap
+        )
+        assert code == 2 and out == "" and "--cap" in err
+
+
+def test_order_over_rational_series_is_infinite_at_once(tmp_path, capsys):
+    # T + t*T^2: the kernel of reduction mod t is torsion-free over Q
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps({"coeffs": [["0"], ["1"], ["0", "1"]]}))
+    code, out, _ = run(
+        capsys, "order", "--ring", "tq:Q:3", "--f", str(fp), "--cap", "100000"
+    )
+    assert code == 0 and json.loads(out) == {"order": None, "cap": 100000}

@@ -16,6 +16,10 @@ from affaut.rings import (
     IntModRing,
     SymbolicRing,
     TruncSeriesRing,
+    _factorize,
+    _is_prime,
+    _pow_payload,
+    _require_prime,
     parse_ring_flag,
     ring_from_descriptor,
     universal_coefficient_ring,
@@ -327,3 +331,62 @@ def test_canonical_representatives():
     # b/b^2 collapses to 1/b
     e = S.monomial(1, {"b": 1}, bk=2)
     assert e.bk == 1 and list(e.terms) == [(0, 0, 0, 0, 0, 0)]
+
+
+def _trial_factors(m):
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+M61 = 2 ** 61 - 1  # a Mersenne prime, far beyond trial division
+
+
+def test_large_prime_moduli_are_recognised():
+    R = IntModRing(M61)
+    assert (R.p, R.n, R.radical) == (M61, 1, M61)
+    R2 = IntModRing(M61 ** 2, q=M61)
+    assert (R2.p, R2.n, R2.nilpotency_index) == (M61, 2, 2)
+    assert _require_prime(M61) == M61
+    for composite in (M61 * (2 ** 31 - 1), M61 ** 2, 2 ** 64):
+        with pytest.raises(PreconditionFailed):
+            _require_prime(composite)
+    with pytest.raises(PreconditionFailed):
+        IntModRing(M61 * (2 ** 31 - 1), q=M61)
+
+
+def test_factorization_and_primality_against_trial_division():
+    # composites with large factors go through Pollard rho
+    assert _factorize(M61 * (2 ** 31 - 1)) == {2 ** 31 - 1: 1, M61: 1}
+    assert _factorize(1009 ** 3 * 1013 ** 2 * 12) == {2: 2, 3: 1, 1009: 3, 1013: 2}
+    R = IntModRing(1009 * 1013 * (2 ** 31 - 1))
+    assert R.p is None and R.radical == R.m and R.nilpotency_index == 1
+    rng = random.Random(17)
+    for m in list(range(2, 3000)) + [rng.randrange(2, 10 ** 10) for _ in range(200)]:
+        want = _trial_factors(m)
+        assert _factorize(m) == want, m
+        assert _is_prime(m) == (want == {m: 1}), m
+    # strong pseudoprimes to the first nine and twelve prime bases
+    for spsp in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(spsp)
+
+
+def test_one_power_helper_for_every_ring():
+    rings_and_values = [
+        (IntModRing(81, q=3), 5),
+        (TruncSeriesRing("fp", 3, p=5), (2, 1, 3)),
+        (TruncSeriesRing("rationals", 2), (Fraction(1, 2), Fraction(3))),
+        (universal_coefficient_ring(3), universal_coefficient_ring(3).gen("b")),
+    ]
+    for ring, v in rings_and_values:
+        acc = ring.one()
+        for k in range(7):
+            assert _pow_payload(ring, v, k) == acc
+            assert (ring.elem(v) ** k).value == acc
+            acc = ring.mul(acc, v)
