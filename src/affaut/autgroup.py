@@ -10,21 +10,26 @@ nilpotent.
 Products of coefficient lists go through one per-ring kernel: Kronecker
 substitution over Z/m, bivariate Kronecker substitution over F_p[t]/(t^e),
 and the schoolbook product over Q[t]/(t^e) and symbolic rings.  Every ring
-composes by one Horner loop over that kernel.  Over Z/m three more paths
-take over: at high degree an affine inner map, and an expansion around
-the affine part of a unit-slope inner map with nilpotent tail; at low
-degree, one Horner pass over big integers that carry the exact integer
-coefficients.  The first two read the valuations of their inputs: a
-block of coefficients divisible by g = gcd(m, block) (q^v over Z/p^n) is
-worked on as block/g mod m/g and scaled back, so in the filtered groups,
-where high degrees carry high powers of q, the high-degree work runs at
-low precision and stops where the precision runs out.  The tests check
-every path against a schoolbook reference.
+composes by one baby-step/giant-step routine over that kernel
+(Paterson-Stockmeyer): f splits into blocks of about sqrt(deg f / 2)
+coefficients, each block is evaluated at g from the packed powers of g
+without reduction, and Horner's rule in a power of g joins the blocks.
+Over the schoolbook rings the blocks have one coefficient, which is
+Horner's rule.  Over Z/m three more paths take over: at high degree an
+affine inner map, and an expansion around the affine part of a
+unit-slope inner map with nilpotent tail; at low degree, one Horner pass
+over big integers that carry the exact integer coefficients.  The first
+two read the valuations of their inputs: a block of coefficients
+divisible by g = gcd(m, block) (q^v over Z/p^n) is worked on as block/g
+mod m/g and scaled back, so in the filtered groups, where high degrees
+carry high powers of q, the high-degree work runs at low precision and
+stops where the precision runs out.  The tests check every path against
+a schoolbook reference.
 
 The order of an automorphism comes from the q-adic filtration as well:
-stepping finds the order of its affine reduction mod q, and a p-power
-ladder the order in the kernel of that reduction, a p-group over Z/p^n
-and F_p[t]/(t^e); see :func:`order`.
+the order of its affine reduction mod q has a closed form over F_p, and a
+p-power ladder finds the order in the kernel of that reduction, a p-group
+over Z/p^n and F_p[t]/(t^e); see :func:`order`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,14 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .rings import IntModRing, Ring, RingElem, SymbolicRing, TruncSeriesRing
+from .rings import (
+    IntModRing,
+    Ring,
+    RingElem,
+    SymbolicRing,
+    TruncSeriesRing,
+    _factorize,
+)
 
 # ---------------------------------------------------------------------------
 # integer coefficient-list helpers (hot path: plain ints, no wrappers)
@@ -86,51 +98,55 @@ def _unpack(n: int, count: int, w: int) -> Sequence[int]:
     return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
 
 
-def _kron_times(b: Sequence[int], m: int):
-    """a -> a*b mod m for canonical coefficient lists, with b packed once.
-    A product slot sums at most len(b) terms below (m-1)^2."""
-    w = _slot_width(2 * (m - 1).bit_length() + len(b).bit_length())
-    pb = _pack(b, w)
+def _int_codec(m: int, terms: int):
+    """(pack, scalar, unpack) for canonical coefficient lists over Z/m, one
+    coefficient a slot; a slot holds any sum of `terms` products of two
+    canonical coefficients, each below (m-1)^2.  A scalar packs as itself."""
+    w = _slot_width(2 * (m - 1).bit_length() + terms.bit_length())
 
-    def times(a: Sequence[int]) -> list:
-        if not a or not pb:
-            return []
-        slots = _unpack(_pack(a, w) * pb, len(a) + len(b) - 1, w)
-        return _int_trim([x % m for x in slots])
+    def pack(a: Sequence[int]) -> int:
+        return _pack(a, w)
 
-    return times
+    def unpack(n: int, count: int) -> list:
+        return _int_trim([x % m for x in _unpack(n, count, w)])
 
-
-def _kron_mul(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    """a*b mod m by Kronecker substitution."""
-    if len(a) < len(b):
-        a, b = b, a
-    return _kron_times(b, m)(a)
+    return pack, int, unpack
 
 
-def _series_times(b: Sequence[tuple], ring: TruncSeriesRing):
-    """a -> a*b over F_p[t]/(t^e), with b packed once: bivariate Kronecker
+def _series_codec(p: int, e: int, terms: int):
+    """(pack, scalar, unpack) over F_p[t]/(t^e): bivariate Kronecker
     substitution.  The t^k part of the T^i coefficient goes to slot
     i*(2e-1) + k, so the t-degrees of a product, at most 2e-2, never reach
     the next T-coefficient; unpacking keeps k < e and reduces mod p.  A
-    product slot sums at most len(b)*e terms below (p-1)^2."""
-    p, e = ring.p, ring.e
+    product of two canonical coefficients puts at most e terms below
+    (p-1)^2 in a slot, and a slot holds any sum of `terms` such products.
+    A scalar packs as the e slots of one T-coefficient."""
     stride = 2 * e - 1
     pad = (0,) * (e - 1)
-    w = _slot_width(2 * (p - 1).bit_length() + (len(b) * e).bit_length())
-    pb = _pack([x for c in b for x in c + pad], w)
+    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length())
 
-    def times(a: Sequence[tuple]) -> list:
-        if not a or not pb:
-            return []
-        pa = _pack([x for c in a for x in c + pad], w)
-        slots = _unpack(pa * pb, (len(a) + len(b) - 1) * stride, w)
+    def pack(a: Sequence[tuple]) -> int:
+        return _pack([x for c in a for x in c + pad], w)
+
+    def scalar(c: tuple) -> int:
+        return _pack(c, w)
+
+    def unpack(n: int, count: int) -> list:
+        slots = _unpack(n, count * stride, w)
         out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
         while out and not any(out[-1]):
             out.pop()
         return out
 
-    return times
+    return pack, scalar, unpack
+
+
+def _kron_mul(a: Sequence[int], b: Sequence[int], m: int) -> list:
+    """a*b mod m by Kronecker substitution."""
+    if not a or not b:
+        return []
+    pack, _, unpack = _int_codec(m, min(len(a), len(b)))
+    return unpack(pack(a) * pack(b), len(a) + len(b) - 1)
 
 
 # Compositions over Z/m whose exact integer result packs into at most this
@@ -282,57 +298,141 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
 
 
 # ---------------------------------------------------------------------------
-# the per-ring product kernel and the one Horner composition
+# the per-ring product kernel and the one general composition
+#
+# A codec turns canonical coefficient lists over one ring into values that
+# add and multiply as the polynomials do, and back: big integers by
+# Kronecker substitution over Z/m and F_p[t]/(t^e), where unpacking reduces,
+# and _Dense lists with the schoolbook product over the other rings.
 
 
-def _schoolbook_times(b: Sequence, ring: Ring):
-    def times(a: Sequence) -> list:
+class _Dense:
+    """A coefficient list over a ring with no packed form (Q[t]/(t^e),
+    symbolic rings), with + and * of polynomials; * is the schoolbook
+    product, so it costs len(a)*len(b) ring operations."""
+
+    __slots__ = ("c", "ring")
+
+    def __init__(self, c: Sequence, ring: Ring):
+        self.c = c
+        self.ring = ring
+
+    def _trimmed(self, out: list) -> "_Dense":
+        is_zero = self.ring.is_zero
+        while out and is_zero(out[-1]):
+            out.pop()
+        return _Dense(out, self.ring)
+
+    def __add__(self, other: "_Dense") -> "_Dense":
+        a, b = self.c, other.c
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(self.ring.add, a, b))
+        if len(a) > len(b):  # the top coefficient of a stands
+            out += a[len(b):]
+            return _Dense(out, self.ring)
+        return self._trimmed(out)
+
+    def __mul__(self, other: "_Dense") -> "_Dense":
+        ring = self.ring
+        add, mul = ring.add, ring.mul
+        a, b = self.c, other.c
         if not a or not b:
-            return []
+            return _Dense([], ring)
         out = [ring.zero()] * (len(a) + len(b) - 1)
+        top = 0  # out[top:] holds no product yet: store, do not add
         for i, x in enumerate(a):
             if ring.is_zero(x):
                 continue
-            for j, y in enumerate(b):
-                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
-        while out and ring.is_zero(out[-1]):
-            out.pop()
-        return out
-
-    return times
+            for k, y in enumerate(b, i):
+                out[k] = add(out[k], mul(x, y)) if k < top else mul(x, y)
+            top = i + len(b)
+        return self._trimmed(out)
 
 
-def _times(b: Sequence, ring: Ring):
-    """The map a -> a*b on canonical coefficient lists over ring: Kronecker
-    packing over Z/m and F_p[t]/(t^e), schoolbook over Q[t]/(t^e) and
-    symbolic rings."""
+def _dense_codec(ring: Ring):
+    """(pack, scalar, unpack) with _Dense values: nothing to pack or
+    reduce."""
+
+    def pack(a: Sequence) -> _Dense:
+        return _Dense(a, ring)
+
+    def scalar(c) -> _Dense:
+        return _Dense([] if ring.is_zero(c) else [c], ring)
+
+    def unpack(x: _Dense, count: int) -> list:
+        return x.c
+
+    return pack, scalar, unpack
+
+
+def _codec(ring: Ring, terms: int):
+    """(pack, scalar, unpack) for ring with slots for sums of `terms`
+    coefficient products, or None when the ring packs into no integer."""
     if isinstance(ring, IntModRing):
-        return _kron_times(b, ring.m)
+        return _int_codec(ring.m, terms)
     if isinstance(ring, TruncSeriesRing) and ring.p is not None:
-        return _series_times(b, ring)
-    return _schoolbook_times(b, ring)
+        return _series_codec(ring.p, ring.e, terms)
+    return None
 
 
 def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return _times(b, ring)(a)
-
-
-def _compose_horner(f: Sequence, g: Sequence, ring: Ring) -> list:
-    """f(g) by Horner's rule, with g packed once for every step."""
-    if not f:
+    if not a or not b:
         return []
-    times = _times(g, ring)
-    res = [f[-1]]
-    for a in reversed(f[:-1]):
-        res = times(res)
+    pack, _, unpack = _codec(ring, min(len(a), len(b))) or _dense_codec(ring)
+    return unpack(pack(a) * pack(b), len(a) + len(b) - 1)
+
+
+def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
+    """f(g) by baby steps and giant steps (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 1973; Brent and Kung, J. ACM 25, 1978).
+
+    f splits into blocks of k coefficients, f = sum_i B_i * T^(ik) with
+    deg B_i < k, so f(g) = sum_i B_i(g) * G^i with G = g^k.  The baby
+    steps form g^1 .. g^k once, packed.  Each B_i(g) is a sum of scalar
+    multiples of those packed powers, added up without reduction: the slots
+    hold k such terms on top of one product.  Horner's rule in G combines
+    the blocks, with one reduced product each.  A reduced product is a
+    bigint multiply and an unpack, Python work per slot; a composition
+    makes about k + len(f)/k of them in place of len(f), and since CPython
+    multiplies large integers by Karatsuba, the fewer and larger giant
+    products also cost less in total than Horner's lopsided ones.  A
+    schoolbook product (_Dense) costs len(a)*len(b) ring operations, so
+    the giant steps on g^k alone would cost what Horner's rule costs:
+    those rings take k = 1, which is Horner's rule."""
+    n = len(f)
+    if not n:
+        return []
+    # k near sqrt(len(f)/2) timed best on filtered compositions over
+    # F_p[t]/(t^e), against sqrt(len(f)), sqrt(len(f)/3) and
+    # (len(f)^2/2)^(1/3)
+    k = math.isqrt((n - 1) // 2) + 1
+    top = (len(g) - 1) * k + 1 if g else 0  # len(g^k) at most
+    codec = _codec(ring, top + k)
+    if codec is None:
+        k, codec = 1, _dense_codec(ring)
+    pack, scalar, unpack = codec
+    powers = [None, pack(g)]  # g^j packed, and the length of g^j
+    lens = [1, len(g)]
+    for _ in range(k - 1):
+        if lens[-1] and g:
+            cur = unpack(powers[-1] * powers[1], lens[-1] + len(g) - 1)
+        else:
+            cur = []
+        powers.append(pack(cur))
+        lens.append(len(cur))
+    giant, glen = powers[k], lens[k]
+    blen = max(lens[:k])
+    res = []
+    for i in reversed(range(0, n, k)):
+        acc = scalar(f[i])
+        for j in range(1, min(k, n - i)):
+            acc = acc + scalar(f[i + j]) * powers[j]
+        count = blen
         if res:
-            res[0] = ring.add(res[0], a)
-        elif not ring.is_zero(a):
-            res = [a]
-    while res and ring.is_zero(res[-1]):
-        res.pop()
+            acc = pack(res) * giant + acc
+            count = max(count, len(res) + glen - 1)
+        res = unpack(acc, count)
     return res
 
 
@@ -500,9 +600,10 @@ class TruncPoly:
         ring = self.ring
         f_c, g_c = self._c, g._c
         if isinstance(ring, IntModRing) and len(f_c) > 1:
-            # three paths that beat Horner over Z/m: at high degree an
-            # affine inner map, and a unit-slope inner map with nilpotent
-            # tail; at low degree, composition through the integers
+            # three paths that beat the general composition over Z/m: at
+            # high degree an affine inner map, and a unit-slope inner map
+            # with nilpotent tail; at low degree, composition through the
+            # integers
             df, dg = len(f_c) - 1, len(g_c) - 1
             if dg == 1 and df > 24:
                 out = _affine_compose_int(f_c, g_c[0], g_c[1], ring.m)
@@ -519,7 +620,7 @@ class TruncPoly:
                 if w * (df * dg + 1) <= _EXACT_BYTES:
                     out = _compose_int_exact(f_c, g_c, ring.m, w)
                     return TruncPoly._raw(ring, out)
-        return TruncPoly._raw(ring, _compose_horner(f_c, g_c, ring))
+        return TruncPoly._raw(ring, _compose_bsgs(f_c, g_c, ring))
 
     def is_automorphism(self) -> bool:
         """Unit linear coefficient and nilpotent higher coefficients; this
@@ -657,6 +758,19 @@ def _residue_characteristic(ring: Ring) -> Optional[int]:
     return None if isinstance(ring, IntModRing) else 0
 
 
+def _affine_order(a: int, b: int, p: int) -> int:
+    """Order of the map a + b*T over F_p, b != 0: 1 for T, p for the
+    translations, and otherwise the multiplicative order of b, since the
+    map then fixes a/(1 - b) and is conjugate to b*T."""
+    if b == 1:
+        return p if a else 1
+    k = p - 1
+    for r in _factorize(p - 1):
+        while k % r == 0 and pow(b, k // r, p) == 1:
+            k //= r
+    return k
+
+
 def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
     """Least k >= 1 with f^(k) = T, or None when the order exceeds cap
     (infinite orders included).
@@ -665,16 +779,16 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
     residue ring, and its kernel, the maps T mod q, is filtered by the
     layers T + q^r h mod q^(r+1), each an additive group.  So the order
     of f is k0, the order of its affine reduction, times the order of
-    f^(k0) in the kernel.  Stepping finds k0, at most cap compositions
-    of affine maps.  In residue characteristic p every layer has exponent
-    p, the kernel is a p-group, and a p-power ladder f^(k0 p^i) ends at T
-    after at most n - 1 rungs over Z/p^n (e - 1 over F_p[t]/(t^e)).  In
-    characteristic 0 the layers are torsion-free, and over these residue
-    rings (Q, and integer polynomials with b inverted) an affine map of
-    finite order has order 1 or 2: u^k = 1 forces u = +-1, and T + c has
-    infinite order unless c = 0.  So the order is k0 <= 2 when f^(k0) = T
-    and infinite otherwise.  Composite Z/m has no q: there stepping runs
-    on f itself."""
+    f^(k0) in the kernel.  In residue characteristic p the residue ring is
+    F_p, where k0 has a closed form (_affine_order), every layer has
+    exponent p, the kernel is a p-group, and a p-power ladder f^(k0 p^i)
+    ends at T after at most n - 1 rungs over Z/p^n (e - 1 over
+    F_p[t]/(t^e)).  In characteristic 0 the layers are torsion-free, and
+    over these residue rings (Q, and integer polynomials with b inverted)
+    an affine map of finite order has order 1 or 2: u^k = 1 forces
+    u = +-1, and T + c has infinite order unless c = 0.  So stepping finds
+    k0 <= 2, and the order is k0 when f^(k0) = T and infinite otherwise.
+    Composite Z/m has no q: there stepping runs on f itself."""
     if cap < 1:
         raise PreconditionFailed(f"cap must be at least 1, got {cap}")
     if not f.is_automorphism():
@@ -683,10 +797,17 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
     p = _residue_characteristic(ring)
     if p is None:
         return _step_order(f, cap)
-    affine = reduce_precision(f, 1) if ring.truncation is not None else f
-    k = _step_order(affine, cap if p else min(cap, 2))
-    if k is None:
-        return None
+    if p:
+        # the residues mod q of the constant and linear coefficients
+        a, b = (x % p if isinstance(x, int) else x[0] for x in f._c[:2])
+        k = _affine_order(a, b, p)
+        if k > cap:
+            return None
+    else:
+        affine = reduce_precision(f, 1) if ring.truncation is not None else f
+        k = _step_order(affine, min(cap, 2))
+        if k is None:
+            return None
     h = _power(f, k)
     ident = identity_map(ring)
     while h != ident:

@@ -754,6 +754,13 @@ class TruncSeriesRing(Ring):
                 return i
         return self.e
 
+    def q_val_min(self, xs):
+        # the first t-degree at which any payload is nonzero
+        for k, column in enumerate(zip(*xs)):
+            if any(column):
+                return k
+        return self.e
+
     def exact_div_q(self, a, k: int):
         if any(c != 0 for c in a[:k]):
             raise NotDivisible(f"series has a nonzero coefficient below t^{k}")

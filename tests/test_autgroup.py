@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +22,9 @@ from affaut.autgroup import (
     sample_filtered,
     sample_kernel_element,
 )
-from affaut.autgroup import _poly_mul
+from affaut.autgroup import _compose_bsgs, _poly_mul
 from affaut.errors import NotAnAutomorphism, PreconditionFailed, ShapeMismatch
-from affaut.rings import IntModRing, TruncSeriesRing
+from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
 
 
 # --------------------------------------------------------------------------
@@ -262,10 +263,10 @@ def test_zmod_product_kernel_matches_schoolbook():
 
 def test_compose_zmod_every_path_matches_schoolbook():
     """Random pairs over Z/m, from 1-byte slots to wide ones: short pairs go
-    through the integers, longer ones by Horner, affine inner maps split
-    into pieces that go through the integers or by quadratic Horner, and
-    unit-slope inner maps with nilpotent tail take the expansion around
-    the affine part."""
+    through the integers, longer ones by the general baby-step/giant-step
+    composition, affine inner maps split into pieces that go through the
+    integers or by quadratic Horner, and unit-slope inner maps with
+    nilpotent tail take the expansion around the affine part."""
     rng = random.Random(433)
     for m in (2, 12, 3 ** 6, 5 ** 6, 2 ** 40, 2 ** 100):
         R = IntModRing(m)
@@ -340,6 +341,149 @@ def test_compose_composite_modulus_scaled_terms_match_schoolbook():
             gc = [rng.randrange(m), rng.randrange(1, m)]
             got = compose(P(R, fc), P(R, gc))
             assert [c.value for c in got.coeffs] == compose_naive(fc, gc, m), m
+
+
+# the baby-step/giant-step composition: f in blocks of k coefficients
+# (k = isqrt((len(f) - 1) // 2) + 1), so lengths 0..70 put the last block at
+# every fill, k^2 and k^2 +- 1 included
+
+
+def _inner_maps(coeff, nilpotent, zero, one):
+    """g = 0, a constant, an affine map, a non-unit slope, and a longer
+    map with a tail that is not nilpotent."""
+    return [
+        [],
+        [coeff()],
+        [coeff(), one],
+        [coeff(), nilpotent(), nilpotent()],
+        [coeff(), coeff(), coeff(), coeff()],
+        [zero, one, zero, coeff()],
+    ]
+
+
+def test_bsgs_compose_series_every_length_matches_schoolbook():
+    rng = random.Random(437)
+    rings = [(p, e) for p in SERIES_PRIMES for e in range(1, 8)]
+    for n in range(71):
+        p, e = rings[n % len(rings)]
+        R = TruncSeriesRing("fp", e, p=p)
+        zero, one = (0,) * e, (1,) + (0,) * (e - 1)
+        fc = _series_poly(rng, p, e, n)
+        if fc:
+            fc[-1] = fc[-1] if any(fc[-1]) else one
+        gs = _inner_maps(
+            lambda: _series_coeff(rng, p, e),
+            lambda: _series_coeff(rng, p, e, True),
+            zero, one,
+        )
+        for gc in gs[n % 3::3]:
+            f, g = P(R, fc), P(R, gc)
+            want = series_compose_naive(f.raw_coeffs(), g.raw_coeffs(), p, e)
+            assert _compose_bsgs(f.raw_coeffs(), g.raw_coeffs(), R) == want, (p, e, n, gc)
+            assert compose(f, g).raw_coeffs() == tuple(want)
+
+
+def test_bsgs_compose_zmod_every_length_matches_schoolbook():
+    """Every length of f, over prime-power, composite and wide moduli, with
+    the inner maps that reach the general path of compose: non-unit
+    slopes and tails that are not nilpotent."""
+    rng = random.Random(438)
+    moduli = (2, 12, 3 ** 6, 2 ** 40, 10 ** 12 + 39, 2 ** 100, 6 ** 30)
+    for n in range(71):
+        m = moduli[n % len(moduli)]
+        R = IntModRing(m)
+        fc = [rng.randrange(m) for _ in range(n)]
+        if fc:
+            fc[-1] = fc[-1] or 1
+        gs = _inner_maps(
+            lambda: rng.randrange(m),
+            lambda: R.radical * rng.randrange(m // R.radical) % m,
+            0, 1,
+        )
+        for gc in gs[n % 2::2]:
+            gc = _trim(list(gc))
+            want = compose_naive(fc, gc, m)
+            assert _compose_bsgs(fc, gc, R) == want, (m, n, gc)
+            assert [c.value for c in compose(P(R, fc), P(R, gc)).coeffs] == want
+
+
+def test_bsgs_compose_fills_its_slots():
+    """Coefficients m - 1 everywhere make the slots of the packed block sums
+    and products as large as they can be; moduli 2^b for b = 1..40 and
+    Mersenne primes p put the slot width at every byte boundary.  With
+    g = -1 every odd power of g is m - 1, so the k-term block sums of a
+    long f (k = 10 from length 163 on) fill their slots too."""
+    for b in range(1, 41):
+        m = 2 ** b
+        R = IntModRing(m)
+        cases = [(5, 2), (9, 3), (33, 2), (18, 5), (163, 1), (170, 1)]
+        for n, lg in cases:
+            fc, gc = [m - 1] * n, [m - 1] * lg
+            assert _compose_bsgs(fc, gc, R) == compose_naive(fc, gc, m), (m, n, lg)
+    for p in (3, 7, 31, 127, 8191, 2147483647):
+        for e in (1, 2, 3, 7):
+            R = TruncSeriesRing("fp", e, p=p)
+            top = (p - 1,) * e
+            cases = [(n, lg) for n in range(1, 9) for lg in (1, 2, 3)]
+            for n, lg in cases + [(13, 3), (26, 2)]:
+                fc, gc = [top] * n, [top] * lg
+                want = series_compose_naive(fc, gc, p, e)
+                assert _compose_bsgs(fc, gc, R) == want, (p, e, n, lg)
+            minus_one = (p - 1,) + (0,) * (e - 1)
+            for n in (163, 170):
+                fc, gc = [top] * n, [minus_one]
+                want = series_compose_naive(fc, gc, p, e)
+                assert _compose_bsgs(fc, gc, R) == want, (p, e, n)
+
+
+def _ring_compose_naive(f, g, ring):
+    """Horner's rule with schoolbook products, on the ring's payload
+    arithmetic."""
+    def mul(a, b):
+        out = [ring.zero()] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+        return out
+
+    res = []
+    for a in reversed(f):
+        res = mul(res, g)
+        res = [ring.add(res[0], a)] + res[1:] if res else [a]
+        while res and ring.is_zero(res[-1]):
+            res.pop()
+    return res
+
+
+def test_bsgs_compose_rational_series_and_symbolic_rings():
+    """The rings with the schoolbook product compose by Horner's rule
+    (blocks of one coefficient), for every length of f up to 12."""
+    rng = random.Random(439)
+    Q = TruncSeriesRing("rationals", 3)
+
+    def rational():
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+
+    S = SymbolicRing(("a", "b", "q"), inverted="b", q="q", trunc=3)
+
+    def symbolic():
+        x = S.zero()
+        for _ in range(rng.randint(0, 2)):
+            exps = {"a": rng.randint(0, 2), "b": rng.randint(0, 1), "q": rng.randint(0, 2)}
+            x = S.add(x, S.monomial(rng.randint(-3, 3), exps, bk=rng.randint(0, 1)))
+        return x
+
+    for ring, coeff in ((Q, rational), (S, symbolic)):
+        for n in range(13):
+            f = P(ring, [coeff() for _ in range(n)])
+            for gc in _inner_maps(coeff, coeff, ring.zero(), ring.one()):
+                g = P(ring, gc)
+                want = _ring_compose_naive(f.raw_coeffs(), g.raw_coeffs(), ring)
+                assert _compose_bsgs(f.raw_coeffs(), g.raw_coeffs(), ring) == want
+                assert list(compose(f, g).raw_coeffs()) == want, (ring, n)
+        # the top coefficient cancels: (T - c) o c = 0
+        c = coeff()
+        assert _compose_bsgs((ring.neg(c), ring.one()), (c,), ring) == []
 
 
 def test_compose_zero_and_constant():
@@ -733,7 +877,7 @@ def test_order_matches_stepping_reference():
     step: Z/p^n, F_p[t]/(t^e) and composite Z/m, each order also with cap
     equal to it (returned) and one below it (None)."""
     rng = random.Random(436)
-    for p, top in ((2, 6), (3, 5), (5, 3)):
+    for p, top in ((2, 6), (3, 5), (5, 3), (7, 3), (11, 2)):
         for n in range(1, top + 1):
             m = p ** n
             R = IntModRing(m, q=p)
@@ -744,7 +888,7 @@ def test_order_matches_stepping_reference():
                 )
                 assert want is not None
                 _check_order(P(R, fc), want)
-    for p, e in ((2, 3), (2, 4), (3, 3), (5, 2)):
+    for p, e in ((2, 3), (2, 4), (3, 3), (5, 2), (7, 2), (11, 2)):
         R = TruncSeriesRing("fp", e, p=p)
         ident = [(0,) * e, (1,) + (0,) * (e - 1)]
         for deg in (1, 2, 3):
@@ -810,6 +954,36 @@ def test_order_takes_few_compositions(monkeypatch):
     f = P(R, [1, 2, 5])
     assert order(f) == 4 * 5 ** 5
     assert len(calls) <= 50
+
+
+def test_affine_order_over_a_large_prime_field(monkeypatch):
+    """Over F_p with p = 2^61 - 1 the order of a + b*T comes from p - 1 and
+    its factors, not from stepping: a translation has order p, beyond the
+    default cap, and a slope b the multiplicative order of b.  Each order
+    is checked by composition: f^(k) = T, and f^(k/r) != T for each prime
+    r dividing k."""
+    calls = []
+    compose_once = TruncPoly.compose
+
+    def counting(self, g):
+        calls.append(1)
+        return compose_once(self, g)
+
+    monkeypatch.setattr(TruncPoly, "compose", counting)
+    p = 2 ** 61 - 1
+    R = IntModRing(p)
+    ident = identity_map(R)
+    for f in (P(R, [1, 1]), P(R, [5, 3]), P(R, [0, p - 1]), P(R, [7, 1 << 30])):
+        calls.clear()
+        k = order(f, cap=p)
+        assert k is not None and len(calls) <= 200
+        assert iterate(f, k) == ident
+        for r in IntModRing(k)._factors if k > 1 else ():
+            assert iterate(f, k // r) != ident
+    for cap, want in ((10 ** 6, None), (p, p), (p - 1, None)):
+        calls.clear()
+        assert order(P(R, [1, 1]), cap=cap) == want
+        assert len(calls) <= 200
 
 
 def test_order_rejects_a_cap_below_one():

@@ -411,3 +411,11 @@ def test_order_over_rational_series_is_infinite_at_once(tmp_path, capsys):
         capsys, "order", "--ring", "tq:Q:3", "--f", str(fp), "--cap", "100000"
     )
     assert code == 0 and json.loads(out) == {"order": None, "cap": 100000}
+
+
+def test_order_of_a_translation_over_a_large_prime_field(tmp_path, capsys):
+    # T + 1 over F_p, p = 2^61 - 1, has order p, beyond the default cap;
+    # the affine order comes from a closed form, not from stepping
+    fp = write_poly(tmp_path, "f.json", [1, 1])
+    code, out, _ = run(capsys, "order", "--ring", "zmod:2305843009213693951", "--f", fp)
+    assert code == 0 and json.loads(out) == {"order": None, "cap": 10 ** 6}

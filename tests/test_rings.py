@@ -128,6 +128,17 @@ def test_q_val_min_is_smallest_valuation():
     assert R.q_val_min([0, 250, 125]) == 3
     with pytest.raises(PreconditionFailed):
         IntModRing(12).q_val_min([6])
+    # series payloads: the first t-degree where any payload is nonzero, e
+    # (the valuation of zero) for the empty list and all-zero payloads
+    for S in (TruncSeriesRing("fp", 6, p=5), TruncSeriesRing("rationals", 4)):
+        e = S.e
+        zero = S.zero()
+        assert S.q_val_min([]) == e
+        assert S.q_val_min([zero, zero]) == e
+        for _ in range(100):
+            ys = [S.coerce_payload([rng.randrange(5) * (i >= k) for i in range(e)])
+                  for k in (rng.randrange(e + 1) for _ in range(rng.randrange(0, 5)))]
+            assert S.q_val_min(ys) == min([S.q_val(y) for y in ys], default=e)
 
 
 def test_intmod_nilpotency_matches_brute_force():
