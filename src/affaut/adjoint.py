@@ -25,8 +25,7 @@ pieces R/q^k by computing each basis slot's annihilator directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .autgroup import (
     SubgroupSpec,
@@ -181,8 +180,7 @@ def ad(f: TruncPoly, g: TruncPoly, r: int, *, crosscheck: bool = True) -> TruncP
 # coordinate, not by the coordinate itself.
 
 
-@dataclass(frozen=True)
-class AdjointMatrix:
+class AdjointMatrix(NamedTuple):
     """Square matrix of a conjugation action on monomial corrections."""
 
     spec: SubgroupSpec
@@ -202,33 +200,6 @@ class AdjointMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
-
-    def times(self, other: "AdjointMatrix") -> "AdjointMatrix":
-        if self.ring != other.ring or self.size != other.size:
-            raise RingMismatch("matrix shapes or coefficient rings differ")
-        ring = self.ring
-        k = self.size
-        rows = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = ring.zero()
-                for l in range(k):
-                    acc = ring.add(
-                        acc, ring.mul(self.rows[i][l], other.rows[l][j])
-                    )
-                row.append(acc)
-            rows.append(tuple(row))
-        return AdjointMatrix(self.spec, self.mode, ring, tuple(rows), False)
-
-    def is_identity(self) -> bool:
-        ring = self.ring
-        one, zero = ring.one(), ring.zero()
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if e != (one if i == j else zero):
-                    return False
-        return True
 
     def to_json(self) -> dict:
         out = {
@@ -402,8 +373,7 @@ def specialize_matrix(
 # the congruence subgroup as a direct sum of cyclic pieces
 
 
-@dataclass(frozen=True)
-class ModuleDecomposition:
+class ModuleDecomposition(NamedTuple):
     """Cyclic decomposition of the level-r congruence subgroup at
     precision n, one slot per monomial correction degree.
 

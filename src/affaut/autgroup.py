@@ -38,8 +38,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     AlgebraError,
@@ -488,19 +487,6 @@ class TruncPoly:
         """Degree, or None for the zero polynomial."""
         return len(self._c) - 1 if self._c else None
 
-    def degree_mod(self, m: int) -> Optional[int]:
-        """Degree of the reduction mod q^m (None when that reduction is
-        zero)."""
-        ring = self.ring
-        if not ring.has_q():
-            raise PreconditionFailed(f"{ring} has no q-adic structure")
-        if m < 1 or (ring.truncation is not None and m > ring.truncation):
-            raise PreconditionFailed(f"exponent {m} out of range")
-        for i in range(len(self._c) - 1, -1, -1):
-            if ring.q_val(self._c[i]) < m:
-                return i
-        return None
-
     def is_zero(self) -> bool:
         return not self._c
 
@@ -566,19 +552,6 @@ class TruncPoly:
         ring = self.ring
         ks = map(ring.from_int, range(1, len(self._c)))
         return TruncPoly._raw(ring, list(map(ring.mul, ks, self._c[1:])))
-
-    def hasse_derivative(self, j: int) -> "TruncPoly":
-        """The divided j-th derivative: coefficient of T^k maps to
-        C(k, j) * c_k at T^(k-j).  Integral in every characteristic."""
-        if j < 0:
-            raise PreconditionFailed("negative derivative index")
-        ring = self.ring
-        out = []
-        comb = 1
-        for k in range(j, len(self._c)):
-            out.append(ring.mul(ring.from_int(comb), self._c[k]))
-            comb = comb * (k + 1) // (k + 1 - j)
-        return TruncPoly._raw(ring, out)
 
     def evaluate(self, x) -> RingElem:
         ring = self.ring
@@ -758,17 +731,25 @@ def _residue_characteristic(ring: Ring) -> Optional[int]:
     return None if isinstance(ring, IntModRing) else 0
 
 
-def _affine_order(a: int, b: int, p: int) -> int:
-    """Order of the map a + b*T over F_p, b != 0: 1 for T, p for the
-    translations, and otherwise the multiplicative order of b, since the
-    map then fixes a/(1 - b) and is conjugate to b*T."""
+def _affine_order(a: int, b: int, p: int, cap: int) -> Optional[int]:
+    """Order of the map a + b*T over F_p, b != 0, or None when it exceeds
+    cap: 1 for T, p for the translations, and otherwise the multiplicative
+    order of b, since the map then fixes a/(1 - b) and is conjugate to
+    b*T.  That order divides p - 1; when it is at most cap, it divides
+    the part S of p - 1 made of primes up to cap.  So for caps up to 10^6
+    trial division finds S, and b^S != 1 means None, without splitting
+    the large primes of p - 1, which can take rho hours."""
     if b == 1:
-        return p if a else 1
-    k = p - 1
-    for r in _factorize(p - 1):
+        k = p if a else 1
+        return k if k <= cap else None
+    factors = _factorize(p - 1, smooth=cap if cap <= 10 ** 6 else None)
+    k = math.prod(r ** e for r, e in factors.items())
+    if pow(b, k, p) != 1:
+        return None
+    for r in factors:
         while k % r == 0 and pow(b, k // r, p) == 1:
             k //= r
-    return k
+    return k if k <= cap else None
 
 
 def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
@@ -800,8 +781,8 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
     if p:
         # the residues mod q of the constant and linear coefficients
         a, b = (x % p if isinstance(x, int) else x[0] for x in f._c[:2])
-        k = _affine_order(a, b, p)
-        if k > cap:
+        k = _affine_order(a, b, p, cap)
+        if k is None:
             return None
     else:
         affine = reduce_precision(f, 1) if ring.truncation is not None else f
@@ -822,8 +803,7 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
 # subgroup specifications and membership
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """Which subgroup a membership question refers to.
 
     flavor "full"   -- every automorphism;
@@ -1017,18 +997,11 @@ def nd_coordinates(f: TruncPoly) -> list:
     return out
 
 
-def nd_sample(ring: Ring, rng) -> TruncPoly:
-    d = ring.truncation
-    r0 = ring.at_precision(1)
-    return nd_element(ring, [r0.rand(rng) for _ in range(d + 1)])
-
-
 # ---------------------------------------------------------------------------
 # solvable filtration
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
+class FiltrationStep(NamedTuple):
     """One precision-halving step of the filtration; levels are precision
     exponents for prime powers and plain moduli for composite m."""
 

@@ -12,8 +12,7 @@ so a generated law is itself a machine-checked closure proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     NoSolution,
@@ -23,6 +22,7 @@ from .errors import (
 from .rings import IntModRing, RingElem, SymbolicRing, SymElem
 from .witt import (
     WittVec,
+    _Frozen,
     integer_witt,
     residue_to_witt,
     witt_add,
@@ -100,8 +100,7 @@ def _witt_pow(u: WittVec, e: int, p, ring, length) -> WittVec:
 # the polynomial transform
 
 
-@dataclass(frozen=True)
-class ComponentSystem:
+class ComponentSystem(NamedTuple):
     """g_0 ... g_n with g_i giving component i of evaluating the source
     polynomial through Witt arithmetic on component vectors."""
 
@@ -221,28 +220,39 @@ def capped_coordinate_scheme(degree_cap: int, precision: int) -> List[Tuple[int,
 # group laws
 
 
-@dataclass(frozen=True)
-class GroupLaw:
+class GroupLaw(_Frozen):
     """Composition written as polynomials over F_p in the coordinates of
-    the left factor and the primed coordinates of the right factor."""
+    the left factor and the primed coordinates of the right factor.
+    _compiled caches the point programs; equality and repr leave it out."""
 
-    p: int
-    descriptor: dict
-    length: int                      # Witt vector length = ring precision
-    scheme: Tuple[Tuple[int, int], ...]
-    coordinates: Tuple[str, ...]     # includes "y" last when has_aux
-    unit_coordinate: str
-    has_aux: bool
-    ring: SymbolicRing
-    laws: Tuple[SymElem, ...]        # simplified, aligned with coordinates
-    raw_laws: Tuple[SymElem, ...]    # over Z, before the mod-p pass
-    relation: Optional[SymElem]
-    _compiled: tuple = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "p", "descriptor", "length", "scheme", "coordinates", "unit_coordinate",
+        "has_aux", "ring", "laws", "raw_laws", "relation", "_compiled",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        descriptor: dict,
+        length: int,                      # Witt vector length = ring precision
+        scheme: Tuple[Tuple[int, int], ...],
+        coordinates: Tuple[str, ...],     # includes "y" last when has_aux
+        unit_coordinate: str,
+        has_aux: bool,
+        ring: SymbolicRing,
+        laws: Tuple[SymElem, ...],        # simplified, aligned with coordinates
+        raw_laws: Tuple[SymElem, ...],    # over Z, before the mod-p pass
+        relation: Optional[SymElem],
+    ):
+        super().__init__(
+            p, descriptor, length, scheme, coordinates, unit_coordinate,
+            has_aux, ring, laws, raw_laws, relation, None,
+        )
 
     # -- point arithmetic over F_p ------------------------------------------
 
     def _compile(self):
-        if object.__getattribute__(self, "_compiled") is not None:
+        if self._compiled is not None:
             return self._compiled
         idx = {g: i for i, g in enumerate(self.ring.gens)}
         progs = []
@@ -492,8 +502,7 @@ def group_law_capped(p: int, precision: int, degree_cap: int) -> GroupLaw:
 # axiom verification
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     mode: str
     points_checked: int
     triples_checked: int

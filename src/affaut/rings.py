@@ -141,19 +141,22 @@ def _rho_divisor(m: int) -> int:
             return g
 
 
-def _factorize(m: int) -> dict[int, int]:
+def _factorize(m: int, smooth: Optional[int] = None) -> dict[int, int]:
     """Prime factorization: trial division below 1000, then prime powers
     are split by _prime_power_split and other composites by
     _rho_divisor.  Primality is decided by _is_prime, with the guarantee
-    stated there."""
+    stated there.  With smooth, only the primes up to smooth are wanted:
+    trial division runs up to it, and what is left of m, whose primes
+    are all larger, is dropped."""
     out: dict[int, int] = {}
-    for d in range(2, 1000):
+    for d in range(2, 1000 if smooth is None else smooth + 1):
         if d * d > m:
             break
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
-    todo = [m] if m > 1 else []
+    # m is now 1, a prime, or has no prime factor up to the trial bound
+    todo = [m] if m > 1 and (smooth is None or m <= smooth) else []
     while todo:
         x = todo.pop()
         split = _prime_power_split(x)

