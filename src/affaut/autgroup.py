@@ -47,6 +47,7 @@ from .errors import (
     PreconditionFailed,
     RingMismatch,
     ShapeMismatch,
+    TooLarge,
 )
 from .rings import (
     IntModRing,
@@ -738,11 +739,18 @@ def _affine_order(a: int, b: int, p: int, cap: int) -> Optional[int]:
     b*T.  That order divides p - 1; when it is at most cap, it divides
     the part S of p - 1 made of primes up to cap.  So for caps up to 10^6
     trial division finds S, and b^S != 1 means None, without splitting
-    the large primes of p - 1, which can take rho hours."""
+    the large primes of p - 1, which can take rho hours.  Larger caps need
+    all of p - 1, and raise TooLarge when rho cannot split it."""
     if b == 1:
         k = p if a else 1
         return k if k <= cap else None
-    factors = _factorize(p - 1, smooth=cap if cap <= 10 ** 6 else None)
+    try:
+        factors = _factorize(p - 1, smooth=cap if cap <= 10 ** 6 else None)
+    except TooLarge as e:
+        raise TooLarge(
+            f"the order of {b} mod {p} needs the primes of p - 1: {e}; "
+            "a cap of at most 10^6 needs only the primes up to the cap"
+        ) from None
     k = math.prod(r ** e for r, e in factors.items())
     if pow(b, k, p) != 1:
         return None

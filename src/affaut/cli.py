@@ -15,26 +15,13 @@ import random
 import sys
 from typing import Optional
 
+from . import adjoint as adj
+from . import autgroup as ag
 from . import greenberg as gb
+from . import inversion
+from . import rings
 from . import witt as wt
-from .adjoint import (
-    ad,
-    ad_matrix,
-    module_decomposition,
-    universal_element,
-)
-from .autgroup import (
-    SubgroupSpec,
-    TruncPoly,
-    composition_series,
-    compose,
-    iterate,
-    member,
-    order,
-)
-from .errors import AlgebraError
-from .inversion import invert_with_depth, oracle_invert
-from .rings import RingElem, SymbolicRing, _require_prime, parse_ring_flag
+from .errors import AlgebraError, PreconditionFailed
 
 VERBS = (
     "compose",
@@ -64,7 +51,7 @@ class UsageError(Exception):
 def _prime(s: str) -> int:
     """argparse type for --p: a prime, or a usage error."""
     try:
-        return _require_prime(int(s))
+        return rings._require_prime(int(s))
     except (AlgebraError, ValueError) as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -93,17 +80,17 @@ def _load_json(path: str) -> dict:
 
 def _ring(args):
     try:
-        return parse_ring_flag(args.ring)
-    except (AlgebraError, ValueError) as e:
+        return rings.parse_ring_flag(args.ring)
+    except (PreconditionFailed, ValueError) as e:
         raise UsageError(f"--ring {args.ring}: {e}")
 
 
-def _poly(ring, path: str) -> TruncPoly:
+def _poly(ring, path: str) -> ag.TruncPoly:
     j = _load_json(path)
     if not isinstance(j, dict) or "coeffs" not in j:
         raise UsageError(f"{path}: expected an object with a coeffs array")
     try:
-        return TruncPoly.from_json(ring, j)
+        return ag.TruncPoly.from_json(ring, j)
     except (AlgebraError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{path}: {e}")
 
@@ -116,7 +103,7 @@ def _witt_vec(path: str) -> wt.WittVec:
         raise UsageError(f"{path}: {e}")
 
 
-def _poly_payload(f: TruncPoly) -> dict:
+def _poly_payload(f: ag.TruncPoly) -> dict:
     out = f.to_json()
     out["ring"] = f.ring.descriptor()
     return out
@@ -138,20 +125,20 @@ def _witt_text(v: wt.WittVec) -> str:
 
 def _do_compose(args):
     ring = _ring(args)
-    h = compose(_poly(ring, args.f), _poly(ring, args.g))
+    h = ag.compose(_poly(ring, args.f), _poly(ring, args.g))
     return _poly_payload(h), repr(h), 0
 
 
 def _do_invert(args):
     ring = _ring(args)
     f = _poly(ring, args.f)
-    inv, depth = invert_with_depth(f)
+    inv, depth = inversion.invert_with_depth(f)
     payload = _poly_payload(inv)
     payload["depth"] = depth
     text = f"{inv!r}\ndepth {depth}"
     status = 0
     if args.check:
-        agrees = oracle_invert(f) == inv
+        agrees = inversion.oracle_invert(f) == inv
         payload["oracle_agrees"] = agrees
         text += f"\noracle agrees: {str(agrees).lower()}"
         if not agrees:
@@ -161,7 +148,7 @@ def _do_invert(args):
 
 def _do_order(args):
     ring = _ring(args)
-    k = order(_poly(ring, args.f), cap=args.cap)
+    k = ag.order(_poly(ring, args.f), cap=args.cap)
     payload = {"order": k, "cap": args.cap}
     text = f"order {k}" if k is not None else f"no order within {args.cap}"
     return payload, text, 0
@@ -170,10 +157,10 @@ def _do_order(args):
 def _do_member(args):
     ring = _ring(args)
     try:
-        spec = SubgroupSpec.parse(args.subgroup)
+        spec = ag.SubgroupSpec.parse(args.subgroup)
     except (AlgebraError, ValueError) as e:
         raise UsageError(str(e))
-    ok = member(_poly(ring, args.f), spec)
+    ok = ag.member(_poly(ring, args.f), spec)
     return (
         {"member": ok, "subgroup": spec.show()},
         f"{str(ok).lower()} ({spec.show()})",
@@ -185,14 +172,14 @@ def _do_iterate(args):
     ring = _ring(args)
     if args.times < 0:
         raise UsageError("--times must be nonnegative")
-    h = iterate(_poly(ring, args.f), args.times)
+    h = ag.iterate(_poly(ring, args.f), args.times)
     return _poly_payload(h), repr(h), 0
 
 
 def _do_series(args):
     ring = _ring(args)
     rng = _need_seed(args)
-    steps = composition_series(ring, rng=rng, samples=args.samples)
+    steps = ag.composition_series(ring, rng=rng, samples=args.samples)
     payload = {
         "ring": ring.descriptor(),
         "steps": [s.to_json() for s in steps],
@@ -267,8 +254,8 @@ def _do_greenberg(args):
     j = _load_json(args.poly)
     try:
         variables = tuple(j["variables"])
-        src = SymbolicRing(variables)
-        f = RingElem(src, src.payload_from_json(j))
+        src = rings.SymbolicRing(variables)
+        f = rings.RingElem(src, src.payload_from_json(j))
     except (AlgebraError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"{args.poly}: {e}")
     cs = gb.greenberg_transform(f, args.p, args.level)
@@ -351,17 +338,17 @@ def _do_ad(args):
     ring = _ring(args)
     f = _poly(ring, args.f)
     g = _poly(ring, args.g)
-    out = ad(f, g, args.level)
+    out = adj.ad(f, g, args.level)
     payload = _poly_payload(out)
     payload["level"] = args.level
     return payload, repr(out), 0
 
 
-def _symbolic_conjugator(ring, args) -> TruncPoly:
+def _symbolic_conjugator(ring, args) -> ag.TruncPoly:
     n = ring.truncation
     if n is None:
         raise UsageError("symbolic matrices need sym:n=<k>")
-    f = universal_element(n, degree=args.degree)
+    f = adj.universal_element(n, degree=args.degree)
     if f.ring != ring:
         raise UsageError(
             "the sym ring flag must match the generic conjugator's ring"
@@ -371,14 +358,14 @@ def _symbolic_conjugator(ring, args) -> TruncPoly:
 
 def _do_ad_matrix(args):
     ring = _ring(args)
-    symbolic = isinstance(ring, SymbolicRing)
+    symbolic = isinstance(ring, rings.SymbolicRing)
     if args.f is not None:
         f = _poly(ring, args.f)
     elif symbolic:
         f = _symbolic_conjugator(ring, args)
     else:
         raise UsageError("numeric matrices need --f")
-    m = ad_matrix(
+    m = adj.ad_matrix(
         f,
         args.subgroup,
         mode="symbolic" if symbolic else "numeric",
@@ -389,7 +376,7 @@ def _do_ad_matrix(args):
 
 def _do_module_decomp(args):
     ring = _ring(args)
-    dec = module_decomposition(ring, args.level)
+    dec = adj.module_decomposition(ring, args.level)
     return dec.to_json(), dec.render_text(), 0
 
 

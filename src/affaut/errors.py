@@ -51,3 +51,9 @@ class IntegralityViolation(AlgebraError):
 class NotAbelian(AlgebraError):
     """Kernel parameters leave the regime where commutativity (and hence
     linearity of the conjugation action) is guaranteed."""
+
+
+class TooLarge(AlgebraError):
+    """The input needs more work than the package's fixed budget allows,
+    such as a factorization beyond Pollard rho's step budget; the message
+    names a cheaper route."""

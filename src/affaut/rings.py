@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
+import sys
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
     NotDivisible,
     PreconditionFailed,
     RingMismatch,
+    TooLarge,
 )
 
 INFINITE_VAL = math.inf
@@ -112,14 +113,26 @@ def _require_prime(p) -> int:
     return p
 
 
+# Pollard rho's steps for one divisor: under a second in CPython, and
+# enough for every prime factor below about 10^10.  Two factors above
+# 10^12 would take hours.
+_RHO_BUDGET = 1 << 19
+
+
 def _rho_divisor(m: int) -> int:
     """A proper divisor of the odd composite m by Pollard's rho in Brent's
     form, gcds taken over batches of 128 steps.  It takes about p^(1/2)
-    steps for the smallest prime factor p of m: fast while p is below
-    about 10^12, hours for two factors near 10^20."""
+    steps for the smallest prime factor p of m, and raises TooLarge
+    rather than take more than _RHO_BUDGET."""
+    steps = 0
     for c in itertools.count(1):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r to move x, up to r more in the batches
+            if steps > _RHO_BUDGET:
+                raise TooLarge(
+                    f"Pollard rho finds no prime factor of {m} in {_RHO_BUDGET} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % m
@@ -477,7 +490,13 @@ class IntModRing(Ring):
             if split is None or split[0] != q:
                 raise PreconditionFailed(f"{m} is not a power of {q}")
         self.p, self.n = split if split else (None, None)
-        self._factors = {self.p: self.n} if split else _factorize(m)
+        try:
+            self._factors = {self.p: self.n} if split else _factorize(m)
+        except TooLarge as e:
+            raise TooLarge(
+                f"Z/{m} needs the primes of m: {e}; "
+                "work modulo each prime power that divides m"
+            ) from None
         self.radical = 1
         for pp in self._factors:
             self.radical *= pp
@@ -611,6 +630,14 @@ class IntModRing(Ring):
 # Truncated power series K[t]/(t^e)
 
 
+def _fraction():
+    """fractions.Fraction, imported here so that only the Q[t]/(t^e) paths
+    pay for loading fractions and decimal."""
+    from fractions import Fraction
+
+    return Fraction
+
+
 class TruncSeriesRing(Ring):
     """K[t]/(t^e) with K = F_p or K = Q; payloads are coefficient tuples of
     length e, lowest degree first."""
@@ -653,12 +680,13 @@ class TruncSeriesRing(Ring):
         if self.base == "fp":
             if isinstance(c, int):
                 return c % self.p
-            if isinstance(c, Fraction) and c.denominator == 1:
+            # no Fraction exists before fractions is loaded
+            fractions = sys.modules.get("fractions")
+            if fractions and isinstance(c, fractions.Fraction) and c.denominator == 1:
                 return c.numerator % self.p
             raise PreconditionFailed(f"bad F_{self.p} scalar {c!r}")
-        if isinstance(c, (int, Fraction)):
-            return Fraction(c)
-        if isinstance(c, str):
+        Fraction = _fraction()
+        if isinstance(c, (int, str, Fraction)):
             return Fraction(c)
         raise PreconditionFailed(f"bad rational scalar {c!r}")
 
@@ -667,7 +695,7 @@ class TruncSeriesRing(Ring):
         return (self._scalar(k),) + (z,) * (self.e - 1)
 
     def _szero(self):
-        return 0 if self.base == "fp" else Fraction(0)
+        return 0 if self.base == "fp" else _fraction()(0)
 
     def coerce_payload(self, x):
         if isinstance(x, (tuple, list)):
@@ -730,7 +758,7 @@ class TruncSeriesRing(Ring):
         if self.base == "fp":
             c0inv = pow(a[0], -1, self.p)
         else:
-            c0inv = Fraction(1) / a[0]
+            c0inv = _fraction()(1) / a[0]
         out = [self._szero()] * e
         out[0] = c0inv if self.base == "rationals" else c0inv % self.p
         for k in range(1, e):
@@ -746,7 +774,7 @@ class TruncSeriesRing(Ring):
 
     def q_power(self, k: int):
         z = self._szero()
-        one = 1 if self.base == "fp" else Fraction(1)
+        one = 1 if self.base == "fp" else _fraction()(1)
         if k >= self.e:
             return (z,) * self.e
         return (z,) * k + (one,) + (z,) * (self.e - k - 1)
@@ -799,7 +827,7 @@ class TruncSeriesRing(Ring):
     def _parse_scalar(self, s):
         if self.base == "fp":
             return _as_int(s)
-        return Fraction(str(s))
+        return _fraction()(str(s))
 
     def show(self, a):
         parts = []

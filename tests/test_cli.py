@@ -11,17 +11,31 @@ import sys
 from affaut import greenberg as gb
 from affaut import witt as wt
 from affaut.autgroup import TruncPoly, compose, iterate, member, order, SubgroupSpec
-from affaut.cli import main
+from affaut.cli import VERBS, main
 from affaut.inversion import invert
 from affaut.rings import IntModRing
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh(*argv):
+    """The command run as its own ``python -m affaut.cli`` process, which
+    loads only the modules the verb imports; a hang ends at the timeout
+    instead of stalling the suite."""
+    return subprocess.run(
+        [sys.executable, "-m", "affaut.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
 
 
 def write_poly(tmp_path, name, coeffs):
@@ -423,15 +437,7 @@ def test_order_of_a_slope_over_a_prime_field_with_a_hard_p_minus_one(tmp_path):
     fresh process, so a hang ends at the timeout instead of stalling the
     suite."""
     fp = write_poly(tmp_path, "g.json", [0, 2])
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-m", "affaut.cli", "order",
-         "--ring", "zmod:5945706470745172254322227204419857", "--f", fp],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    out = fresh("order", "--ring", "zmod:5945706470745172254322227204419857", "--f", fp)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"order": None, "cap": 10 ** 6}
 
@@ -442,3 +448,71 @@ def test_order_of_a_translation_over_a_large_prime_field(tmp_path, capsys):
     fp = write_poly(tmp_path, "f.json", [1, 1])
     code, out, _ = run(capsys, "order", "--ring", "zmod:2305843009213693951", "--f", fp)
     assert code == 0 and json.loads(out) == {"order": None, "cap": 10 ** 6}
+
+
+def test_factoring_beyond_the_rho_budget_is_a_named_error(tmp_path):
+    """Pollard rho needs about p^(1/2) steps for the smallest prime p it
+    splits off, hours for the two below; past its fixed step budget the
+    verb exits 1 with TooLarge, which names a cheaper route."""
+    f = write_poly(tmp_path, "f.json", [1, 1])
+    g = write_poly(tmp_path, "g.json", [0, 2])
+    m = (2 ** 61 - 1) * (2 ** 89 - 1)
+    out = fresh("compose", "--ring", f"zmod:{m}", "--f", f, "--g", f)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("TooLarge: ") and "prime power" in out.stderr
+    # p - 1 = 48 * 10640865532228231 * 11640865532228237; caps up to 10^6
+    # need only its primes up to the cap
+    out = fresh(
+        "order", "--ring", "zmod:5945706470745172254322227204419857",
+        "--f", g, "--cap", "2000000",
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("TooLarge: ") and "cap of at most 10^6" in out.stderr
+
+
+def test_every_verb_in_a_fresh_process_matches_main(tmp_path, capsys):
+    """In-process calls run after other tests loaded every module, so a
+    verb that works only because something else loaded its module first
+    would pass there; a fresh process loads what the verb imports."""
+    f = write_poly(tmp_path, "f.json", [1, 1, 3])
+    g = write_poly(tmp_path, "g.json", [0, 1, 3])
+    h = write_poly(tmp_path, "h.json", [1, 1, 2])
+    u, v, law = (str(tmp_path / n) for n in ("u.json", "v.json", "law.json"))
+    assert main(["witt-iso", "--value", "7", "--p", "2", "--level", "2", "--out", u]) == 0
+    assert main(["witt-iso", "--value", "5", "--p", "2", "--level", "2", "--out", v]) == 0
+    assert main(["greenberg-law", "--p", "2", "--d", "1", "--out", law]) == 0
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({
+        "variables": ["x", "y"],
+        "terms": [
+            {"coeff": "1", "exponents": {"x": 2}},
+            {"coeff": "1", "exponents": {"y": 1}},
+        ],
+    }))
+    cases = [
+        ["compose", "--ring", "zmod:81:q=3", "--f", f, "--g", g],
+        ["invert", "--ring", "zmod:81:q=3", "--f", f, "--check"],
+        ["order", "--ring", "zmod:81:q=3", "--f", f],
+        ["member", "--ring", "zmod:81:q=3", "--f", f, "--subgroup", "atilde:2"],
+        ["iterate", "--ring", "zmod:81:q=3", "--f", f, "--times", "5"],
+        ["series", "--ring", "zmod:16:q=2", "--seed", "3", "--samples", "5"],
+        ["witt-derive", "--p", "2", "--level", "2"],
+        ["witt-add", "--u", u, "--v", v],
+        ["witt-mul", "--u", u, "--v", v],
+        ["ghost", "--u", u],
+        ["witt-iso", "--u", u, "--format", "text"],
+        ["greenberg", "--p", "2", "--level", "1", "--poly", str(poly)],
+        ["greenberg-law", "--p", "2", "--d", "1", "--verify", "sampled",
+         "--seed", "4", "--samples", "20"],
+        ["verify-law", "--law", law],
+        ["ad", "--ring", "zmod:9:q=3", "--f", f, "--g", g, "--level", "1"],
+        ["ad-matrix", "--ring", "zmod:16:q=2", "--f", h, "--subgroup", "k:4,2"],
+        ["module-decomp", "--ring", "zmod:16:q=2"],
+    ]
+    assert [c[0] for c in cases] == list(VERBS)
+    capsys.readouterr()
+    for argv in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        child = fresh(*argv)
+        assert (child.returncode, child.stdout) == (code, out), (argv, child.stderr)
