@@ -30,7 +30,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 from .autgroup import (
     SubgroupSpec,
     TruncPoly,
-    _transport_payload,
+    _kernel_h,
+    _kernel_poly,
     identity_map,
 )
 from .errors import (
@@ -72,12 +73,7 @@ def kernel_element(ring: Ring, r: int, h_coeffs: Sequence) -> TruncPoly:
     n = _require_truncated(ring)
     if not 1 <= r <= n:
         raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
-    qr = ring.q_power(r)
-    cs = [ring.mul(qr, ring.pay(c)) for c in h_coeffs]
-    while len(cs) < 2:
-        cs.append(ring.zero())
-    cs[1] = ring.add(ring.one(), cs[1])
-    return TruncPoly._raw(ring, cs)
+    return _kernel_poly(ring, ring.q_power(r), [ring.pay(c) for c in h_coeffs])
 
 
 def h_part(g: TruncPoly, r: int) -> TruncPoly:
@@ -89,12 +85,7 @@ def h_part(g: TruncPoly, r: int) -> TruncPoly:
     if r == n:
         raise PreconditionFailed("no residue ring left at full congruence")
     dst = ring.at_precision(n - r)
-    diff = g - identity_map(ring)
-    out = [
-        _transport_payload(ring.exact_div_q(c, r), ring, dst)
-        for c in diff.raw_coeffs()
-    ]
-    return TruncPoly._raw(dst, out)
+    return TruncPoly._raw(dst, _kernel_h(g, r, dst))
 
 
 def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
@@ -106,18 +97,7 @@ def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
     """
     check_kernel_element(g, r)
     ring = g.ring
-    diff = g - identity_map(ring)
-    return identity_map(ring) + diff.scale(ring.pay(c))
-
-
-def _h_lift(g: TruncPoly, r: int) -> TruncPoly:
-    # Some lift of h to the full ring; which lift is irrelevant to every
-    # caller because the result is always rescaled by q^r afterwards.
-    ring = g.ring
-    diff = g - identity_map(ring)
-    return TruncPoly._raw(
-        ring, [ring.exact_div_q(c, r) for c in diff.raw_coeffs()]
-    )
+    return _kernel_poly(ring, ring.pay(c), (g - identity_map(ring)).raw_coeffs())
 
 
 def ad(f: TruncPoly, g: TruncPoly, r: int, *, crosscheck: bool = True) -> TruncPoly:
@@ -142,10 +122,10 @@ def ad(f: TruncPoly, g: TruncPoly, r: int, *, crosscheck: bool = True) -> TruncP
     finv = invert(f)
     direct = f.compose(g).compose(finv)
     if crosscheck:
-        hf = _h_lift(g, r).compose(finv)
-        closed = identity_map(ring) + (
-            hf * f.derivative().compose(finv)
-        ).scale(ring.q_power(r))
+        # any lift of h to the full ring will do: q^r wipes out the rest
+        hf = TruncPoly._raw(ring, _kernel_h(g, r, ring)).compose(finv)
+        hf_df = hf * f.derivative().compose(finv)
+        closed = _kernel_poly(ring, ring.q_power(r), hf_df.raw_coeffs())
         if direct != closed:
             raise AlgebraError(
                 "conjugation routes disagree; the abelian-range closed "
@@ -307,16 +287,11 @@ def ad_matrix(
         raise NotAnAutomorphism(repr(f))
     entry_ring = ring.at_precision(1 if spec.flavor == "n" else n - r)
     finv = invert(f)
-    ident = identity_map(ring)
     columns = []
     for j in range(n + 1):
         w = r if spec.flavor == "n" else max(r, j - 1)
         g_j = kernel_element(ring, w, [ring.zero()] * j + [ring.one()])
-        diff = f.compose(g_j).compose(finv) - ident
-        col = [
-            _transport_payload(ring.exact_div_q(c, r), ring, entry_ring)
-            for c in diff.raw_coeffs()
-        ]
+        col = _kernel_h(f.compose(g_j).compose(finv), r, entry_ring)
         for extra in col[n + 1 :]:
             if not entry_ring.is_zero(extra):
                 raise ShapeMismatch(

@@ -15,21 +15,27 @@ composes by one baby-step/giant-step routine over that kernel
 coefficients, each block is evaluated at g from the packed powers of g
 without reduction, and Horner's rule in a power of g joins the blocks.
 Over the schoolbook rings the blocks have one coefficient, which is
-Horner's rule.  Over Z/m three more paths take over: at high degree an
-affine inner map, and an expansion around the affine part of a
-unit-slope inner map with nilpotent tail; at low degree, one Horner pass
-over big integers that carry the exact integer coefficients.  The first
-two read the valuations of their inputs: a block of coefficients
-divisible by g = gcd(m, block) (q^v over Z/p^n) is worked on as block/g
-mod m/g and scaled back, so in the filtered groups, where high degrees
-carry high powers of q, the high-degree work runs at low precision and
-stops where the precision runs out.  The tests check every path against
-a schoolbook reference.
+Horner's rule.  Over Z/m two more paths take over: at high degree, an
+expansion around the affine part of a unit-slope inner map with
+nilpotent tail, whose affine composition splits f in halves; at low
+degree, one Horner pass over big integers that carry the exact integer
+coefficients.  The expansion reads the valuations of its inputs: a block
+of coefficients divisible by g = gcd(m, block) (q^v over Z/p^n) is
+worked on as block/g mod m/g and scaled back, so in the filtered groups,
+where high degrees carry high powers of q, the high-degree work runs at
+low precision and stops where the precision runs out.  The tests check
+every path against a schoolbook reference.
 
 The order of an automorphism comes from the q-adic filtration as well:
 the order of its affine reduction mod q has a closed form over F_p, and a
 p-power ladder finds the order in the kernel of that reduction, a p-group
 over Z/p^n and F_p[t]/(t^e); see :func:`order`.
+
+The congruence kernels K_r = {T + q^r h}, the maps congruent to T mod q^r,
+are built by one function and read back by one (_kernel_poly, _kernel_h):
+sampling, the slab coordinates, the commutation probe behind
+:func:`composition_series`, and the conjugation action in
+:mod:`affaut.adjoint` all go through them.
 """
 
 from __future__ import annotations
@@ -574,14 +580,10 @@ class TruncPoly:
         ring = self.ring
         f_c, g_c = self._c, g._c
         if isinstance(ring, IntModRing) and len(f_c) > 1:
-            # three paths that beat the general composition over Z/m: at
-            # high degree an affine inner map, and a unit-slope inner map
-            # with nilpotent tail; at low degree, composition through the
-            # integers
+            # two paths that beat the general composition over Z/m: at
+            # high degree a unit-slope inner map with nilpotent tail; at
+            # low degree, composition through the integers
             df, dg = len(f_c) - 1, len(g_c) - 1
-            if dg == 1 and df > 24:
-                out = _affine_compose_int(f_c, g_c[0], g_c[1], ring.m)
-                return TruncPoly._raw(ring, out)
             if (
                 dg >= 2
                 and df * dg > 96
@@ -682,6 +684,43 @@ def lift_precision(f: TruncPoly, n: int) -> TruncPoly:
         raise PreconditionFailed("cannot lift downward")
     dst = src.at_precision(n)
     return TruncPoly._raw(dst, _transport(f._c, src, dst))
+
+
+# ---------------------------------------------------------------------------
+# congruence kernels: the maps T + q^r h
+
+
+def _kernel_poly(ring: Ring, gen, hs: Sequence) -> TruncPoly:
+    """T + gen * h for a payload gen of ring and the payloads hs of h, low
+    degree first; an h of degree below 1 still gives the linear T."""
+    cs = [ring.mul(gen, h) for h in hs]
+    cs += [ring.zero()] * (2 - len(cs))
+    cs[1] = ring.add(ring.one(), cs[1])
+    return TruncPoly._raw(ring, cs)
+
+
+def _kernel_h(g: TruncPoly, r: int, dst: Ring) -> list:
+    """The coefficients of (g - T)/q^r, low degree first and carried to
+    dst, for g congruent to T mod q^r; degrees 0 and 1 always appear."""
+    ring = g.ring
+    cs = list(g._c) + [ring.zero()] * (2 - len(g._c))
+    cs[1] = ring.sub(cs[1], ring.one())
+    return _transport([ring.exact_div_q(c, r) for c in cs], ring, dst)
+
+
+def _commutation_probe(
+    ring: Ring, gen, samples: int, deg_cap: int, rng
+) -> tuple[bool, int, Optional[tuple]]:
+    """Compose `samples` random pairs T + gen * h, deg h <= deg_cap, both
+    ways; returns (verdict, pairs checked, a non-commuting pair or None)."""
+    for checked in range(1, samples + 1):
+        f, g = (
+            _kernel_poly(ring, gen, [ring.rand(rng) for _ in range(deg_cap + 1)])
+            for _ in range(2)
+        )
+        if f.compose(g) != g.compose(f):
+            return False, checked, (f, g)
+    return True, samples, None
 
 
 # ---------------------------------------------------------------------------
@@ -872,14 +911,6 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
         return f.is_automorphism()
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
-    if spec.flavor == "a":
-        d = spec.d
-        if f.degree() is not None and f.degree() > d:
-            return False
-        for i in range(2, len(f._c)):
-            if ring.q_val(f._c[i]) < i - 1:
-                return False
-        return True
     if spec.flavor == "atilde":
         n = ring.truncation
         if n is None:
@@ -891,24 +922,20 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
             if ring.q_val_min(f._c[max(d << (m - 2), 0) + 1:]) < m:
                 return False
         return True
-    if spec.flavor == "n":
-        if ring.truncation != spec.n:
-            raise PreconditionFailed(
-                f"ring precision {ring.truncation} != subgroup precision {spec.n}"
-            )
-        if f.degree() is not None and f.degree() > spec.n:
+    if spec.flavor not in ("a", "n", "k"):
+        raise PreconditionFailed(f"unknown flavor {spec.flavor!r}")
+    if spec.flavor != "a" and ring.truncation != spec.n:
+        raise PreconditionFailed(
+            f"ring precision {ring.truncation} != subgroup precision {spec.n}"
+        )
+    if spec.flavor != "k":
+        # the "a"-shape, at degree d for "a" and at the precision n for "n"
+        if len(f._c) - 1 > (spec.d if spec.flavor == "a" else spec.n):
             return False
         for i in range(2, len(f._c)):
             if ring.q_val(f._c[i]) < i - 1:
                 return False
-        return f.identity_congruence() >= spec.r
-    if spec.flavor == "k":
-        if ring.truncation != spec.n:
-            raise PreconditionFailed(
-                f"ring precision {ring.truncation} != subgroup precision {spec.n}"
-            )
-        return f.identity_congruence() >= spec.r
-    raise PreconditionFailed(f"unknown flavor {spec.flavor!r}")
+    return spec.flavor == "a" or f.identity_congruence() >= spec.r
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +983,7 @@ def sample_kernel_element(ring: Ring, r: int, deg_cap: int, rng) -> TruncPoly:
     """Uniform over automorphisms congruent to T mod q^r with degree <=
     deg_cap."""
     qr = ring.q_power(r)
-    coeffs = [ring.mul(qr, ring.rand(rng)) for _ in range(deg_cap + 1)]
-    if len(coeffs) > 1:
-        coeffs[1] = ring.add(ring.one(), coeffs[1])
-    return TruncPoly._raw(ring, coeffs)
+    return _kernel_poly(ring, qr, [ring.rand(rng) for _ in range(deg_cap + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -977,11 +1001,7 @@ def nd_element(ring: Ring, coords: Sequence) -> TruncPoly:
     d = ring.truncation
     if d is None or len(coords) != d + 1:
         raise PreconditionFailed("need d+1 coordinates over a q^d-truncated ring")
-    qd = ring.q_power(d - 1)
-    cs = [ring.mul(qd, ring.pay(c)) for c in coords]
-    if len(cs) > 1:
-        cs[1] = ring.add(ring.one(), cs[1])
-    return TruncPoly._raw(ring, cs)
+    return _kernel_poly(ring, ring.q_power(d - 1), [ring.pay(c) for c in coords])
 
 
 def nd_coordinates(f: TruncPoly) -> list:
@@ -996,13 +1016,8 @@ def nd_coordinates(f: TruncPoly) -> list:
     if f.identity_congruence() < d - 1:
         raise ShapeMismatch("element does not reduce to T one level down")
     r0 = ring.at_precision(1)
-    out = []
-    for j in range(d + 1):
-        c = f._c[j] if j < len(f._c) else ring.zero()
-        if j == 1:
-            c = ring.sub(c, ring.one())
-        out.append(_transport_payload(ring.exact_div_q(c, d - 1), ring, r0))
-    return out
+    out = _kernel_h(f, d - 1, r0)
+    return out + [r0.zero()] * (d + 1 - len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,27 +1053,20 @@ class FiltrationStep(NamedTuple):
 
 def _kernel_elements_exhaustive(ring: Ring, r: int, deg_cap: int) -> Iterator[TruncPoly]:
     """All automorphisms = T mod q^r with degree <= deg_cap, for a finite
-    truncated ring (prime-power or series)."""
+    truncated ring (prime-power or series): T + q^r h for h running over
+    the polynomials with coefficients below q^(n-r)."""
     n = ring.truncation
     if isinstance(ring, IntModRing):
         ring._need_q()
-        per_slot = ring.p ** (n - r)
-        qr = ring.p ** r
-        slot_values = [k * qr % ring.m for k in range(per_slot)]
-    elif isinstance(ring, TruncSeriesRing):
-        per = ring.p ** (n - r)
-        slot_values = []
-        for digits in itertools.product(range(ring.p), repeat=n - r):
-            z = (0,) * r + digits
-            slot_values.append(ring.coerce_payload(z))
-        per_slot = per
+        hs = range(ring.p ** (n - r))
+    elif isinstance(ring, TruncSeriesRing) and ring.p is not None:
+        pad = (0,) * r
+        hs = [digits + pad for digits in itertools.product(range(ring.p), repeat=n - r)]
     else:
         raise InfiniteCoefficientRing(f"cannot enumerate kernels of {ring}")
-    one = ring.one()
-    for combo in itertools.product(range(per_slot), repeat=deg_cap + 1):
-        coeffs = [slot_values[k] for k in combo]
-        coeffs[1] = ring.add(one, coeffs[1])
-        yield TruncPoly._raw(ring, coeffs)
+    qr = ring.q_power(r)
+    for combo in itertools.product(hs, repeat=deg_cap + 1):
+        yield _kernel_poly(ring, qr, combo)
 
 
 def check_abelian_kernel(
@@ -1083,37 +1091,11 @@ def check_abelian_kernel(
                 if fi.compose(gj) != gj.compose(fi):
                     return False, checked, (fi, gj)
         return True, checked, None
+    if mode != "sampled":
+        raise PreconditionFailed(f"unknown mode {mode!r}")
     if rng is None:
         raise PreconditionFailed("sampled mode needs an rng")
-    checked = 0
-    for _ in range(samples):
-        f = sample_kernel_element(ring, r, deg_cap, rng)
-        g = sample_kernel_element(ring, r, deg_cap, rng)
-        checked += 1
-        if f.compose(g) != g.compose(f):
-            return False, checked, (f, g)
-    return True, checked, None
-
-
-def _check_abelian_kernel_mod(
-    ring: IntModRing, m2: int, samples: int, deg_cap: int, rng
-) -> tuple[bool, int, Optional[tuple]]:
-    """Same probe for the kernel of reducing Z/m -> Z/m2 (composite m).
-    Kernel elements are T + (m2 * anything)."""
-    step = m2
-    span = ring.m // m2
-    checked = 0
-    for _ in range(samples):
-        polys = []
-        for _ in range(2):
-            coeffs = [step * rng.randrange(span) % ring.m for _ in range(deg_cap + 1)]
-            coeffs[1] = (1 + coeffs[1]) % ring.m
-            polys.append(TruncPoly._raw(ring, coeffs))
-        f, g = polys
-        checked += 1
-        if f.compose(g) != g.compose(f):
-            return False, checked, (f, g)
-    return True, checked, None
+    return _commutation_probe(ring, ring.q_power(r), samples, deg_cap, rng)
 
 
 def composition_series(
@@ -1122,51 +1104,28 @@ def composition_series(
     samples: int = 100,
     deg_cap: int = 4,
 ) -> list[FiltrationStep]:
-    """The precision-halving filtration n -> ceil(n/2) -> ... -> 1 whose
+    """The precision-halving filtration of Z/m down to Z/rad(m), whose
     kernels are abelian, witnessing solvability down to the affine group.
 
-    For composite m each step divides every prime exponent in half (rounded
-    up); the kernel ideal I then always satisfies I^2 = 0, so the same
-    argument applies.  The returned steps carry sampled commutation
-    evidence (deterministic given rng)."""
+    Each step halves every prime exponent of the modulus (rounded up), from
+    m to m2; the kernel ideal I = (m2) then satisfies I^2 = 0, so the
+    kernel {T + m2 h} is abelian.  For a prime power p^n the steps run
+    n -> ceil(n/2) -> ... -> 1 and carry those exponents.  With an rng,
+    each step carries sampled commutation evidence (deterministic given
+    rng)."""
     if not isinstance(ring, IntModRing):
         raise PreconditionFailed("composition series works over Z/m")
     if rng is not None and samples < 1:
         raise PreconditionFailed(f"need at least one sample per kernel, got {samples}")
     steps: list[FiltrationStep] = []
-    if ring.p is not None:
-        n = ring.n
-        cur = n
-        while cur > 1:
-            nxt = (cur + 1) // 2
-            cur_ring = ring.at_precision(cur)
-            ok, checked, wit = check_abelian_kernel(
-                cur_ring, nxt, mode="sampled", samples=samples, deg_cap=deg_cap,
-                rng=rng,
-            ) if rng is not None else (True, 0, None)
-            steps.append(
-                FiltrationStep(
-                    from_modulus=ring.p ** cur,
-                    to_modulus=ring.p ** nxt,
-                    from_exponent=cur,
-                    to_exponent=nxt,
-                    kernel_abelian=ok,
-                    pairs_checked=checked,
-                    witness=wit,
-                )
-            )
-            cur = nxt
-        return steps
-    m = ring.m
+    m, exps = ring.m, ring._factors
     while m != ring.radical:
-        m2 = 1
-        for p, e in IntModRing(m)._factors.items():
-            m2 *= p ** ((e + 1) // 2)
+        half = {p: (e + 1) // 2 for p, e in exps.items()}
+        m2 = math.prod(p ** e for p, e in half.items())
         if m % m2 or (m2 * m2) % m:
             raise AlgebraError(f"kernel ideal ({m2}) of Z/{m} does not square to zero")
-        cur_ring = IntModRing(m)
         ok, checked, wit = (
-            _check_abelian_kernel_mod(cur_ring, m2, samples, deg_cap, rng)
+            _commutation_probe(IntModRing(m), m2, samples, deg_cap, rng)
             if rng is not None
             else (True, 0, None)
         )
@@ -1174,12 +1133,12 @@ def composition_series(
             FiltrationStep(
                 from_modulus=m,
                 to_modulus=m2,
-                from_exponent=None,
-                to_exponent=None,
+                from_exponent=exps.get(ring.p),
+                to_exponent=half.get(ring.p),
                 kernel_abelian=ok,
                 pairs_checked=checked,
                 witness=wit,
             )
         )
-        m = m2
+        m, exps = m2, half
     return steps

@@ -112,9 +112,6 @@ class ComponentSystem(NamedTuple):
     ring: SymbolicRing
     polys: Tuple[SymElem, ...]
 
-    def component_names(self, var: str) -> Tuple[str, ...]:
-        return tuple(f"{var}_{k}" for k in range(self.level + 1))
-
     def evaluate(self, values: Dict[str, int]) -> WittVec:
         """Evaluate every g_i at F_p component values; returns the result
         as a vector over F_p."""
@@ -193,24 +190,17 @@ def shape_coordinate_scheme(d: int) -> List[Tuple[int, int]]:
     return coords
 
 
-def capped_filtered_valuation(degree_cap: int, j: int, precision: int) -> int:
-    """Pinned slot count for the T^j coefficient of a degree-filtered
-    automorphism at the given ring precision; same rule as membership in
-    the filtered subgroup."""
-    from .autgroup import atilde_coefficient_valuation
-
-    if j < 2:
-        return 0
-    return atilde_coefficient_valuation(degree_cap, j, precision)
-
-
 def capped_coordinate_scheme(degree_cap: int, precision: int) -> List[Tuple[int, int]]:
     if degree_cap < 1 or precision < 2:
         raise PreconditionFailed("need degree_cap >= 1 and precision >= 2")
+    from .autgroup import atilde_coefficient_valuation
+
     max_deg = degree_cap * 2 ** (precision - 2)
     coords = []
     for j in range(max_deg + 1):
-        pin = capped_filtered_valuation(degree_cap, j, precision)
+        # the pinned slots: the valuation membership in the filtered
+        # subgroup forces on the T^j coefficient
+        pin = atilde_coefficient_valuation(degree_cap, j, precision)
         for slot in range(pin, precision):
             coords.append((j, slot))
     return coords

@@ -260,12 +260,6 @@ class UniversalWittLaw(NamedTuple):
     sum_polys: Tuple
     prod_polys: Tuple
 
-    def sum_elems(self) -> Tuple[RingElem, ...]:
-        return tuple(RingElem(self.ring, c) for c in self.sum_polys)
-
-    def prod_elems(self) -> Tuple[RingElem, ...]:
-        return tuple(RingElem(self.ring, c) for c in self.prod_polys)
-
     def _subst(self, poly, target: Ring, xs: Sequence, ys: Sequence):
         assignment = {}
         for i, v in enumerate(xs):

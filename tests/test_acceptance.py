@@ -44,7 +44,7 @@ from affaut import (
     witt_to_residue,
     WittVec,
 )
-from affaut.autgroup import SubgroupSpec, TruncPoly, _check_abelian_kernel_mod
+from affaut.autgroup import SubgroupSpec, TruncPoly, _commutation_probe
 from affaut.greenberg import enumerate_points
 from affaut.rings import IntegerRing
 
@@ -430,7 +430,7 @@ def test_criterion_10_solvable_filtration_kernels_abelian():
             assert all(s.kernel_abelian for s in steps)
             assert steps[-1].to_modulus == IntModRing(m).radical
             for s in steps:
-                ok, cnt, wit = _check_abelian_kernel_mod(
+                ok, cnt, wit = _commutation_probe(
                     IntModRing(s.from_modulus), s.to_modulus, 10000, 4, rng
                 )
                 assert ok, wit

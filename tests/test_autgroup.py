@@ -23,7 +23,12 @@ from affaut.autgroup import (
     sample_kernel_element,
 )
 from affaut.autgroup import _affine_order, _compose_bsgs, _poly_mul
-from affaut.errors import NotAnAutomorphism, PreconditionFailed, ShapeMismatch
+from affaut.errors import (
+    InfiniteCoefficientRing,
+    NotAnAutomorphism,
+    PreconditionFailed,
+    ShapeMismatch,
+)
 from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
 
 
@@ -1188,6 +1193,44 @@ def test_nonabelian_kernel_below_half():
     f = P(R, [0, 1, 2])
     g = P(R, [0, 1, 0, 2])
     assert compose(f, g) != compose(g, f)
+
+
+def test_series_steps_frozen():
+    """Moduli, exponents, verdicts and pair counts of the filtration, step
+    for step, over a composite modulus and a prime power."""
+    steps = composition_series(IntModRing(72), rng=random.Random(72), samples=25)
+    assert [tuple(s[:6]) + (s.witness,) for s in steps] == [
+        (72, 12, None, None, True, 25, None),
+        (12, 6, None, None, True, 25, None),
+    ]
+    steps = composition_series(IntModRing(81), rng=random.Random(81), samples=25)
+    assert [tuple(s[:6]) + (s.witness,) for s in steps] == [
+        (81, 9, 4, 2, True, 25, None),
+        (9, 3, 2, 1, True, 25, None),
+    ]
+
+
+def test_kernel_of_degree_cap_zero_is_the_translations():
+    """Degree cap 0 gives T + q^r c, never a constant: K_2 over Z/16 is
+    abelian in both probe modes."""
+    R = IntModRing(16, q=2)
+    rng = random.Random(440)
+    for _ in range(20):
+        f = sample_kernel_element(R, 2, 0, rng)
+        c = f.raw_coeffs()
+        assert c[1:] == (1,) and c[0] % 4 == 0 and f.is_automorphism()
+    assert check_abelian_kernel(R, 2, samples=50, deg_cap=0, rng=rng) == (True, 50, None)
+    ok, checked, wit = check_abelian_kernel(R, 2, mode="exhaustive", deg_cap=0)
+    assert ok and wit is None
+    assert checked == 4 * 3 // 2  # T + 4c for c = 0..3
+
+
+def test_abelian_kernel_rejects_unknown_mode_and_infinite_rings():
+    R = IntModRing(16, q=2)
+    with pytest.raises(PreconditionFailed):
+        check_abelian_kernel(R, 2, mode="exhastive", samples=5, rng=random.Random(1))
+    with pytest.raises(InfiniteCoefficientRing):
+        check_abelian_kernel(TruncSeriesRing("rationals", 3), 1, mode="exhaustive")
 
 
 def test_filtration_step_json():

@@ -8,12 +8,16 @@ import random
 
 import pytest
 
-from affaut.autgroup import TruncPoly, compose, identity_map
+from affaut.autgroup import (
+    TruncPoly,
+    atilde_coefficient_valuation,
+    compose,
+    identity_map,
+)
 from affaut.errors import PreconditionFailed, ShapeMismatch
 from affaut.greenberg import (
     GroupLaw,
     capped_coordinate_scheme,
-    capped_filtered_valuation,
     enumerate_points,
     greenberg_transform,
     group_law_capped,
@@ -259,7 +263,7 @@ def test_capped_scheme_matches_membership_valuations():
         assert max(j for j, _ in scheme) == max_deg
         for j in range(max_deg + 1):
             slots = [s for jj, s in scheme if jj == j]
-            pin = capped_filtered_valuation(cap, j, prec)
+            pin = atilde_coefficient_valuation(cap, j, prec)
             assert slots == list(range(pin, prec))
 
 
