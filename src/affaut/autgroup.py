@@ -1080,6 +1080,13 @@ def check_abelian_kernel(
     """Probe whether the congruence kernel at level r is abelian, by
     composing pairs both ways.  Returns (verdict, pairs checked, witness),
     the witness being a non-commuting pair when one is found."""
+    if mode not in ("exhaustive", "sampled"):
+        raise PreconditionFailed(f"unknown mode {mode!r}")
+    n = ring.truncation
+    if r < 1 or (n is not None and r > n):
+        raise PreconditionFailed(f"kernel level r = {r} is outside 1..{n or ''}")
+    if deg_cap < 0:
+        raise PreconditionFailed(f"degree cap must be at least 0, got {deg_cap}")
     if mode == "exhaustive":
         elems = list(_kernel_elements_exhaustive(ring, r, deg_cap))
         checked = 0
@@ -1091,10 +1098,10 @@ def check_abelian_kernel(
                 if fi.compose(gj) != gj.compose(fi):
                     return False, checked, (fi, gj)
         return True, checked, None
-    if mode != "sampled":
-        raise PreconditionFailed(f"unknown mode {mode!r}")
     if rng is None:
         raise PreconditionFailed("sampled mode needs an rng")
+    if samples < 1:
+        raise PreconditionFailed(f"need at least one sample, got {samples}")
     return _commutation_probe(ring, ring.q_power(r), samples, deg_cap, rng)
 
 

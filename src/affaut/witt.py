@@ -231,21 +231,6 @@ def witt_mul(u: WittVec, v: WittVec) -> WittVec:
     return _combine(u, v, "mul")
 
 
-def witt_zero(p: int, ring: Ring, length: int) -> WittVec:
-    return WittVec(p, ring, (ring.zero(),) * length)
-
-
-def integer_witt(c: int, p: int, ring: Ring, length: int) -> WittVec:
-    """The image of the integer c under the unique ring map into Witt
-    vectors: the vector with constant ghost (c, c, ..., c)."""
-    if _is_torsion_free(ring):
-        return unghost(p, ring, (ring.from_int(c),) * length)
-    if isinstance(ring, IntModRing):
-        zr = IntegerRing(q=p)
-        return _reduce_vec(unghost(p, zr, (c,) * length), ring)
-    raise PreconditionFailed(f"Witt arithmetic is not defined over {ring}")
-
-
 # ---------------------------------------------------------------------------
 # the universal laws
 
@@ -259,30 +244,6 @@ class UniversalWittLaw(NamedTuple):
     ring: SymbolicRing
     sum_polys: Tuple
     prod_polys: Tuple
-
-    def _subst(self, poly, target: Ring, xs: Sequence, ys: Sequence):
-        assignment = {}
-        for i, v in enumerate(xs):
-            assignment[f"x{i}"] = target.pay(v)
-        for i, v in enumerate(ys):
-            assignment[f"y{i}"] = target.pay(v)
-        return self.ring.substitute(poly, target, assignment)
-
-    def evaluate_sum(self, u: WittVec, v: WittVec) -> WittVec:
-        _check_shapes(u, v)
-        comps = tuple(
-            self._subst(s, u.ring, u.components, v.components)
-            for s in self.sum_polys
-        )
-        return WittVec(u.p, u.ring, comps)
-
-    def evaluate_mul(self, u: WittVec, v: WittVec) -> WittVec:
-        _check_shapes(u, v)
-        comps = tuple(
-            self._subst(s, u.ring, u.components, v.components)
-            for s in self.prod_polys
-        )
-        return WittVec(u.p, u.ring, comps)
 
     def to_json(self) -> dict:
         return {

@@ -1233,6 +1233,26 @@ def test_abelian_kernel_rejects_unknown_mode_and_infinite_rings():
         check_abelian_kernel(TruncSeriesRing("rationals", 3), 1, mode="exhaustive")
 
 
+def test_abelian_kernel_checks_its_bounds():
+    """r outside 1..n, no samples and a negative degree cap are refused;
+    they used to give a verdict backed by no pair or a stray TypeError or
+    ValueError."""
+    R = IntModRing(16, q=2)
+    for r in (0, -1, 5):
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(PreconditionFailed, match="outside 1..4"):
+                check_abelian_kernel(R, r, mode=mode, rng=random.Random(1))
+    with pytest.raises(PreconditionFailed, match="at least one sample"):
+        check_abelian_kernel(R, 2, samples=0, rng=random.Random(1))
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(PreconditionFailed, match="degree cap"):
+            check_abelian_kernel(R, 2, mode=mode, deg_cap=-1, rng=random.Random(1))
+    # the ends of the range stay allowed: r = n is the trivial kernel {T},
+    # and K_1 = {T + 2h} is not abelian
+    assert check_abelian_kernel(R, 4, mode="exhaustive", deg_cap=1) == (True, 0, None)
+    assert check_abelian_kernel(R, 1, samples=50, rng=random.Random(1))[0] is False
+
+
 def test_filtration_step_json():
     rng = random.Random(439)
     steps = composition_series(IntModRing(16, q=2), rng=rng, samples=10)

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 from affaut import greenberg as gb
 from affaut import witt as wt
@@ -468,6 +469,28 @@ def test_factoring_beyond_the_rho_budget_is_a_named_error(tmp_path):
     )
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr.startswith("TooLarge: ") and "cap of at most 10^6" in out.stderr
+
+
+def test_exhaustive_verification_past_its_limit_is_a_named_error(tmp_path):
+    """The exhaustive axiom check counts its triples first: --d 3 (256
+    points) and --d 4 (8192 points, 5.5e11 triples, hours of work) exit 1
+    with TooLarge, which names the sampled mode, within 2 s."""
+    for d in ("3", "4"):
+        start = time.perf_counter()
+        out = fresh("greenberg-law", "--p", "2", "--d", d, "--verify", "exhaustive")
+        assert time.perf_counter() - start < 2
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("TooLarge: ") and "--verify sampled" in out.stderr
+    # verify-law checks exhaustively by default; a stored (3, 2) law has
+    # 162 points, so only the sampled mode runs it
+    law = str(tmp_path / "law.json")
+    assert main(["greenberg-law", "--p", "3", "--d", "2", "--out", law]) == 0
+    out = fresh("verify-law", "--law", law)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("TooLarge: ") and "162^3" in out.stderr
+    out = fresh("verify-law", "--law", law, "--verify", "sampled", "--seed", "1",
+                "--samples", "50")
+    assert out.returncode == 0 and json.loads(out.stdout)["axioms"]["mode"] == "sampled"
 
 
 def test_every_verb_in_a_fresh_process_matches_main(tmp_path, capsys):

@@ -14,7 +14,8 @@ from affaut.autgroup import (
     compose,
     identity_map,
 )
-from affaut.errors import PreconditionFailed, ShapeMismatch
+from affaut import greenberg as gb
+from affaut.errors import PreconditionFailed, ShapeMismatch, TooLarge
 from affaut.greenberg import (
     GroupLaw,
     capped_coordinate_scheme,
@@ -27,10 +28,11 @@ from affaut.greenberg import (
     simplify_mod_p,
     verify_group_axioms,
 )
-from affaut.rings import IntModRing, RingElem, SymbolicRing
+from affaut.rings import IntegerRing, IntModRing, RingElem, SymbolicRing
 from affaut.witt import (
     WittVec,
     derive_witt_laws,
+    unghost,
     witt_add,
     witt_mul,
     witt_to_residue,
@@ -167,10 +169,51 @@ def test_transform_evaluation_matches_witt_arithmetic():
             assert cs.evaluate(values) == want
 
 
-def _embed_int(c, p, base, length):
-    from affaut.witt import integer_witt
+def _embed_int(c, p, ring, length):
+    """The integer c as a Witt vector over ring (Z/m or torsion-free): the
+    vector with constant ghost c, solved over the integers."""
+    u = unghost(p, IntegerRing(q=p), (c,) * length)
+    return WittVec(p, ring, tuple(ring.from_int(x) for x in u.components))
 
-    return integer_witt(c, p, base, length)
+
+def _transform_by_witt_arithmetic(f, p, level):
+    """Reference for greenberg_transform: evaluate f term by term with
+    witt_mul and witt_add on the symbolic component vectors."""
+    src = f.ring
+    names = [f"{v}_{k}" for v in src.gens for k in range(level + 1)]
+    R = SymbolicRing(tuple(names), q=p)
+    vecs = {
+        v: WittVec(p, R, tuple(R.gen(f"{v}_{k}") for k in range(level + 1)))
+        for v in src.gens
+    }
+    total = _embed_int(0, p, R, level + 1)
+    for e, c in f.value.terms.items():
+        term = _embed_int(c, p, R, level + 1)
+        for v, k in zip(src.gens, e):
+            for _ in range(k):
+                term = witt_mul(term, vecs[v])
+        total = witt_add(total, term)
+    return R, total.components
+
+
+def test_transform_matches_termwise_witt_arithmetic():
+    polys = (
+        lambda R: R.add(
+            R.add(R.monomial(1, {"x": 2, "y": 1}), R.monomial(3, {"y": 1})),
+            R.from_int(2),
+        ),
+        lambda R: R.sub(R.monomial(1, {"x": 3}), R.from_int(5)),
+        lambda R: R.add(
+            R.monomial(-7, {"x": 1, "y": 2}), R.sub(R.gen("x"), R.gen("y"))
+        ),
+    )
+    for build in polys:
+        f = sym_poly(("x", "y"), build)
+        for p, level in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            cs = greenberg_transform(f, p, level)
+            R, want = _transform_by_witt_arithmetic(f, p, level)
+            assert cs.ring == R
+            assert cs.polys == want
 
 
 def test_transform_point_level_defining_property():
@@ -322,6 +365,24 @@ def test_shape_law_axioms_exhaustive_p2():
     assert rep.triples_checked == 16 ** 3
 
 
+def test_exhaustive_axioms_refuse_past_the_triple_limit(monkeypatch):
+    """The exhaustive mode counts (p - 1) * p^(free - 1) points before it
+    enumerates anything and refuses more than the limit of triples."""
+    with pytest.raises(TooLarge, match="sampled mode"):
+        verify_group_axioms(group_law_shape(3, 2), "exhaustive")  # 162^3
+    with pytest.raises(TooLarge, match="8192\\^3"):
+        verify_group_axioms(group_law_shape(2, 4), "exhaustive")
+    law = group_law_shape(2, 2)  # 16 points
+    monkeypatch.setattr(gb, "_EXHAUSTIVE_TRIPLES", 16 ** 3)
+    assert verify_group_axioms(law, "exhaustive").triples_checked == 16 ** 3
+    monkeypatch.setattr(gb, "_EXHAUSTIVE_TRIPLES", 16 ** 3 - 1)
+    with pytest.raises(TooLarge):
+        verify_group_axioms(law, "exhaustive")
+    # the sampled mode has no such limit
+    rep = verify_group_axioms(law, "sampled", rng=random.Random(5), samples=20)
+    assert rep.all_ok and rep.triples_checked == 20
+
+
 def test_shape_law_axioms_sampled_p3():
     rep = verify_group_axioms(
         group_law_shape(3, 2), "sampled", rng=random.Random(21), samples=2000
@@ -403,6 +464,44 @@ def test_tower_restriction_reproduces_smaller_law():
                             f"law for {name} leaks dropped coordinate {g}"
                         )
             assert big.ring.substitute(big_poly, small.ring, rename) == small_raw
+
+
+def _compose_by_witt_horner(law):
+    """Reference for the generator: the composite of the symbolic left and
+    right coefficient vectors by Horner's rule, with every coefficient
+    product and sum done by witt_mul and witt_add."""
+    p, S, length = law.p, law.ring, law.length
+    top = max(j for j, _ in law.scheme)
+    free = set(law.scheme)
+
+    def side(mark):
+        return [
+            WittVec(p, S, tuple(
+                S.gen(f"a{j}_{slot}{mark}") if (j, slot) in free else S.zero()
+                for slot in range(length)
+            ))
+            for j in range(top + 1)
+        ]
+
+    fs, gs = side(""), side("'")
+    acc = [fs[-1]]
+    for f in reversed(fs[:-1]):
+        out = [_embed_int(0, p, S, length)] * (len(acc) + len(gs) - 1)
+        for i, u in enumerate(acc):
+            for k, v in enumerate(gs):
+                out[i + k] = witt_add(out[i + k], witt_mul(u, v))
+        out[0] = witt_add(out[0], f)
+        acc = out
+    return acc
+
+
+def test_raw_laws_match_witt_horner_composition():
+    laws = [group_law_shape(p, d) for p, d in ((2, 2), (3, 2), (2, 3))]
+    laws += [group_law_capped(p, prec, 1) for p, prec in ((2, 2), (3, 2), (2, 3))]
+    for law in laws:
+        composed = _compose_by_witt_horner(law)
+        want = tuple(composed[j].components[slot] for j, slot in law.scheme)
+        assert law.raw_laws[: len(want)] == want, law.descriptor
 
 
 def test_point_to_aut_rejects_invalid():

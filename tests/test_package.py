@@ -97,6 +97,16 @@ print(json.dumps({"status": status, "ran": sorted(ran),
     got = fresh_python(code % (["witt-derive", "--p", "2", "--level", "2"],))
     assert got["status"] == 0 and "witt" in got["ran"]
     assert not {"autgroup", "adjoint", "inversion", "greenberg"} & set(got["ran"])
+    # greenberg_transform works on ghost components alone; only the law
+    # generator composes with autgroup
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"variables": ["x", "y"], "terms": [
+        {"coeff": "1", "exponents": {"x": 2, "y": 1}},
+        {"coeff": "3", "exponents": {"y": 1}},
+    ]}))
+    got = fresh_python(code % (["greenberg", "--p", "2", "--level", "2", "--poly", str(poly)],))
+    assert got["status"] == 0 and {"greenberg", "witt"} <= set(got["ran"])
+    assert not {"autgroup", "adjoint", "inversion"} & set(got["ran"])
 
 
 def test_rational_series_load_fractions_on_demand(tmp_path):
