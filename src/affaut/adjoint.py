@@ -100,14 +100,12 @@ def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
     return _kernel_poly(ring, ring.pay(c), (g - identity_map(ring)).raw_coeffs())
 
 
-def ad(f: TruncPoly, g: TruncPoly, r: int, *, crosscheck: bool = True) -> TruncPoly:
+def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
     """The conjugate f . g . finv of a level-r congruence element g.
 
     Requires 2r >= n so the congruence subgroup is abelian and the
-    closed form applies.  With crosscheck enabled (the default) the
-    composition route and the closed form are both evaluated and must
-    agree exactly; disable only inside hot loops that have already
-    sampled the agreement.
+    closed form applies.  The composition route and the closed form are
+    both evaluated and must agree exactly.
     """
     if f.ring != g.ring:
         raise RingMismatch(f"{f.ring} vs {g.ring}")
@@ -121,16 +119,15 @@ def ad(f: TruncPoly, g: TruncPoly, r: int, *, crosscheck: bool = True) -> TruncP
     ring = f.ring
     finv = invert(f)
     direct = f.compose(g).compose(finv)
-    if crosscheck:
-        # any lift of h to the full ring will do: q^r wipes out the rest
-        hf = TruncPoly._raw(ring, _kernel_h(g, r, ring)).compose(finv)
-        hf_df = hf * f.derivative().compose(finv)
-        closed = _kernel_poly(ring, ring.q_power(r), hf_df.raw_coeffs())
-        if direct != closed:
-            raise AlgebraError(
-                "conjugation routes disagree; the abelian-range closed "
-                "form failed where its precondition held"
-            )
+    # any lift of h to the full ring will do: q^r wipes out the rest
+    hf = TruncPoly._raw(ring, _kernel_h(g, r, ring)).compose(finv)
+    hf_df = hf * f.derivative().compose(finv)
+    closed = _kernel_poly(ring, ring.q_power(r), hf_df.raw_coeffs())
+    if direct != closed:
+        raise AlgebraError(
+            "conjugation routes disagree; the abelian-range closed "
+            "form failed where its precondition held"
+        )
     return direct
 
 

@@ -2,15 +2,15 @@
 polynomial systems over F_p in Witt coordinates, and machine generation
 of composition laws for automorphism subgroups in those coordinates.
 
-The engine is deliberately single-minded: every law is produced from
-symbolic component vectors over the integers through the ghost map.  The
-inputs are sent to their ghost components once, the polynomial work runs
-on each ghost component with the package's own composition and
-substitution, and one unghost per output coefficient brings the result
-back; only then is anything reduced mod p.  Nothing is copied from a
-formula table; closure facts (composite coefficients vanishing beyond
-the degree budget, forced zero slots) are asserted during generation,
-so a generated law is itself a machine-checked closure proof.
+A law is a function on F_p points.  It is built over the Z/p^n-valued
+functions on the Teichmüller points, where a coefficient's Witt vector
+[u_0..u_(n-1)] is the residue sum_i p^i * u_i: the symbolic maps compose
+once there, and exact divisions peel the Witt digits off each composite
+coefficient, every digit mod p a law in canonical form.  The component
+systems of greenberg_transform stay exact over Z, through the ghost map.
+Nothing is copied from a formula table; closure facts (composite
+coefficients vanishing beyond the degree budget, forced zero slots) are
+asserted during generation, so a law is a machine-checked closure proof.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
 )
-from .rings import IntModRing, RingElem, SymbolicRing, SymElem
+from .rings import (
+    IntModRing, RingElem, SymbolicRing, SymElem, _pow_payload, _require_prime,
+)
 from .witt import (
     WittVec,
     _Frozen,
@@ -34,34 +36,46 @@ from .witt import (
 )
 
 # ---------------------------------------------------------------------------
-# mod-p simplification of integer polynomials
-#
-# Sound and complete for F_p-point equality: dropping p-divisible terms
-# and reducing exponents e >= 1 to ((e-1) mod (p-1)) + 1 maps a
-# polynomial to the canonical representative of the function it induces
-# on F_p points, so two polynomials agree pointwise iff they simplify
-# identically.
+# functions on Teichmüller points
+
+
+class _PointFunctions(SymbolicRing):
+    """Z/p^k[v]/(v^p - v) in every generator v.  Mod p, v^p - v splits into
+    distinct linear factors, so by the CRT this is the ring of Z/p^k-valued
+    functions on the Teichmüller points ({0} u mu_(p-1))^N, which reduce
+    mod p to the F_p points.  The normal form keeps exponents in 0..p-1
+    and coefficients in 0..p^k-1; at k = 1 it is the canonical form of the
+    function a polynomial induces on F_p points."""
+
+    def __init__(self, generators: Sequence[str], p: int, k: int):
+        super().__init__(generators, q=p)
+        self.modulus = p ** k
+
+    def __eq__(self, other):
+        return (
+            SymbolicRing.__eq__(self, other)
+            and getattr(other, "modulus", None) == self.modulus
+        )
+
+    def __hash__(self):
+        return hash((self.gens, self.modulus))
+
+    def _norm(self, terms: dict, bk: int) -> SymElem:
+        # v^p = v: an exponent e >= 1 becomes ((e - 1) mod (p - 1)) + 1
+        p1, m = self.q - 1, self.modulus
+        out: dict = {}
+        for e, c in terms.items():
+            ne = tuple((k - 1) % p1 + 1 if k else 0 for k in e)
+            out[ne] = (out.get(ne, 0) + c) % m
+        return SymElem({e: c for e, c in out.items() if c}, 0)
 
 
 def simplify_mod_p(ring: SymbolicRing, a: SymElem, p: int) -> SymElem:
+    """The function a induces on F_p points, in normal form: p-divisible
+    terms dropped and exponents e >= 1 reduced to ((e-1) mod (p-1)) + 1."""
     if a.bk:
         raise PreconditionFailed("cannot simplify with inverted-generator tails")
-    out: dict = {}
-    for e, c in a.terms.items():
-        c %= p
-        if c == 0:
-            continue
-        ne = tuple(((k - 1) % (p - 1)) + 1 if k >= 1 else 0 for k in e)
-        nc = (out.get(ne, 0) + c) % p
-        if nc:
-            out[ne] = nc
-        else:
-            out.pop(ne, None)
-    return ring._norm(out, 0)
-
-
-def _pointwise_zero(ring: SymbolicRing, a: SymElem, p: int) -> bool:
-    return not simplify_mod_p(ring, a, p).terms
+    return _PointFunctions(ring.gens, p, 1)._norm(a.terms, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +119,8 @@ def greenberg_transform(f: RingElem, p: int, level: int) -> ComponentSystem:
     components of f evaluated at fully symbolic component vectors.  Ghost
     components are ring maps and f has integer coefficients, so ghost j
     of f(vectors) is f of the ghost j's: one substitution per ghost
-    component, then one unghost (sound as in _build_law)."""
+    component, then one unghost, which is exact because the component
+    ring is torsion-free, so the ghost map on it is injective."""
     src = f.ring
     if not isinstance(src, SymbolicRing):
         raise PreconditionFailed("the input lives in a symbolic polynomial ring")
@@ -179,12 +194,13 @@ def capped_coordinate_scheme(degree_cap: int, precision: int) -> List[Tuple[int,
 
 class GroupLaw(_Frozen):
     """Composition written as polynomials over F_p in the coordinates of
-    the left factor and the primed coordinates of the right factor.
+    the left factor and the primed coordinates of the right factor, each
+    law in the normal form of the function it induces on F_p points.
     _compiled caches the point programs; equality and repr leave it out."""
 
     __slots__ = (
         "p", "descriptor", "length", "scheme", "coordinates", "unit_coordinate",
-        "has_aux", "ring", "laws", "raw_laws", "relation", "_compiled",
+        "has_aux", "ring", "laws", "relation", "_compiled",
     )
 
     def __init__(
@@ -197,21 +213,23 @@ class GroupLaw(_Frozen):
         unit_coordinate: str,
         has_aux: bool,
         ring: SymbolicRing,
-        laws: Tuple[SymElem, ...],        # simplified, aligned with coordinates
-        raw_laws: Tuple[SymElem, ...],    # over Z, before the mod-p pass
+        laws: Tuple[SymElem, ...],        # normal forms, aligned with coordinates
         relation: Optional[SymElem],
     ):
         super().__init__(
             p, descriptor, length, scheme, coordinates, unit_coordinate,
-            has_aux, ring, laws, raw_laws, relation, None,
+            has_aux, ring, laws, relation, None,
         )
+
+    @property
+    def raw_laws(self) -> Tuple[SymElem, ...]:  # generated in normal form
+        return self.laws
 
     # -- point arithmetic over F_p ------------------------------------------
 
     def _compile(self):
         if self._compiled is not None:
             return self._compiled
-        idx = {g: i for i, g in enumerate(self.ring.gens)}
         progs = []
         for law in self.laws:
             terms = []
@@ -219,9 +237,8 @@ class GroupLaw(_Frozen):
                 powers = tuple((i, k) for i, k in enumerate(e) if k)
                 terms.append((c, powers))
             progs.append(tuple(terms))
-        compiled = (idx, tuple(progs))
-        object.__setattr__(self, "_compiled", compiled)
-        return compiled
+        object.__setattr__(self, "_compiled", tuple(progs))
+        return self._compiled
 
     def identity_point(self) -> Tuple[int, ...]:
         out = []
@@ -248,7 +265,7 @@ class GroupLaw(_Frozen):
     ) -> Tuple[int, ...]:
         if len(left) != len(self.coordinates) or len(right) != len(self.coordinates):
             raise ShapeMismatch("point arity does not match the coordinate list")
-        _, progs = self._compile()
+        progs = self._compile()
         # generator order is left coords, right coords, then y, y'
         if self.has_aux:
             values = (
@@ -346,76 +363,51 @@ def _build_law(
     scheme: List[Tuple[int, int]],
     descriptor: dict,
     with_aux: bool,
-    closure_degree: int,
 ) -> GroupLaw:
-    """Shared generator: symbolic left/right component vectors, one
-    composition per ghost component, closure assertions, mod-p pass."""
+    """Shared generator: one composition of the symbolic left and right
+    maps over the functions on Teichmüller points, then the Witt digits of
+    every composite coefficient, with closure assertions on the digits."""
     from .autgroup import TruncPoly
 
-    free_slots: Dict[int, set] = {}
-    for j, slot in scheme:
-        free_slots.setdefault(j, set()).add(slot)
+    _require_prime(p)
     top = max(j for j, _ in scheme)
     left_names = [f"a{j}_{slot}" for j, slot in scheme]
     right_names = [n + "'" for n in left_names]
     gens = tuple(left_names + right_names + (["y", "y'"] if with_aux else []))
-    S = SymbolicRing(gens, q=p)
+    R = _PointFunctions(gens, p, length)
 
-    def side_ghosts(primed: bool) -> List[tuple]:
-        out = []
-        for j in range(top + 1):
-            comps = []
-            for slot in range(length):
-                if slot in free_slots.get(j, set()):
-                    name = f"a{j}_{slot}" + ("'" if primed else "")
-                    comps.append(S.gen(name))
-                else:
-                    comps.append(S.zero())
-            out.append(ghost_components(WittVec(p, S, tuple(comps))))
-        return out
+    # at Teichmüller points witt_to_residue sends the coefficient vector of
+    # T^j to sum_slot p^slot * a{j}_{slot}
+    def side(mark: str) -> TruncPoly:
+        coeffs = [R.zero()] * (top + 1)
+        for j, slot in scheme:
+            term = R.monomial(p ** slot, {f"a{j}_{slot}{mark}": 1})
+            coeffs[j] = R.add(coeffs[j], term)
+        return TruncPoly(R, coeffs)
 
-    # S is torsion-free, so the ghost map from Witt vectors over S to
-    # S^length is an injective ring homomorphism: ghost i of the composite's
-    # coefficients is the composite of the ghost-i coefficients, and one
-    # unghost per coefficient recovers the composite exactly.
-    fs = side_ghosts(False)
-    gs = side_ghosts(True)
-    cols = [
-        TruncPoly(S, [w[i] for w in fs])
-        .compose(TruncPoly(S, [w[i] for w in gs]))
-        .raw_coeffs()
-        for i in range(length)
-    ]
-    zero = S.zero()
-    composed = [
-        unghost(p, S, [c[k] if k < len(c) else zero for c in cols]).components
-        for k in range(max(map(len, cols)))
-    ]
-
-    # closure: everything beyond the degree budget, and every forced slot,
-    # must vanish identically on F_p points
-    for k in range(len(composed)):
-        free = free_slots.get(k, set()) if k <= closure_degree else set()
+    # peel the digits: d_s is x mod p, and d_s^(p^(length-1-s)) its
+    # Teichmüller lift to the precision left, so x less it divides by p.
+    # Every digit outside the scheme must vanish on F_p points.
+    free = set(scheme)
+    digits = {}
+    for k, x in enumerate(side("").compose(side("'")).raw_coeffs()):
         for slot in range(length):
-            if slot in free:
-                continue
-            if not _pointwise_zero(S, composed[k][slot], p):
+            d = digits[k, slot] = simplify_mod_p(R, x, p)
+            if d.terms and (k, slot) not in free:
                 raise NoSolution(
                     f"composite escaped the scheme at T^{k}, slot {slot}"
                 )
+            if slot + 1 < length:
+                lift = _pow_payload(R, d, p ** (length - 1 - slot))
+                x = R.exact_div_q(R.sub(x, lift), 1)
 
-    raw = []
-    simp = []
-    for j, slot in scheme:
-        poly = composed[j][slot] if j < len(composed) else S.zero()
-        raw.append(poly)
-        simp.append(simplify_mod_p(S, poly, p))
+    S = SymbolicRing(gens, q=p)
+    laws = [digits.get(key, S.zero()) for key in scheme]
     coordinates = tuple(left_names)
     relation = None
     if with_aux:
         coordinates = coordinates + ("y",)
-        raw.append(S.mul(S.gen("y"), S.gen("y'")))
-        simp.append(S.mul(S.gen("y"), S.gen("y'")))
+        laws.append(S.mul(S.gen("y"), S.gen("y'")))
         relation = S.sub(S.mul(S.gen("a1_0"), S.gen("y")), S.one())
     return GroupLaw(
         p=p,
@@ -426,8 +418,7 @@ def _build_law(
         unit_coordinate="a1_0",
         has_aux=with_aux,
         ring=S,
-        laws=tuple(simp),
-        raw_laws=tuple(raw),
+        laws=tuple(laws),
         relation=relation,
     )
 
@@ -442,7 +433,6 @@ def group_law_shape(p: int, d: int) -> GroupLaw:
         scheme,
         {"kind": "shape", "p": p, "d": d},
         with_aux=False,
-        closure_degree=d,
     )
 
 
@@ -451,7 +441,6 @@ def group_law_capped(p: int, precision: int, degree_cap: int) -> GroupLaw:
     precision, with the unit-slope locus carried by the auxiliary
     coordinate y and the relation a1_0 * y - 1."""
     scheme = capped_coordinate_scheme(degree_cap, precision)
-    max_deg = degree_cap * 2 ** (precision - 2)
     return _build_law(
         p,
         precision,
@@ -463,7 +452,6 @@ def group_law_capped(p: int, precision: int, degree_cap: int) -> GroupLaw:
             "degree_cap": degree_cap,
         },
         with_aux=True,
-        closure_degree=max_deg,
     )
 
 

@@ -327,7 +327,9 @@ def witt_to_residue(u: WittVec) -> RingElem:
 
 
 def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> WittVec:
-    """Inverse of witt_to_residue by greedy digit extraction."""
+    """Inverse of witt_to_residue by greedy digit extraction: x is the sum
+    of p^i * tau(u_i) with tau(c) = c^(p^level), so u_0 = x mod p and
+    (x - tau(u_0))/p holds the rest; each lift is computed once."""
     if isinstance(x, RingElem):
         ring = x.ring
         if not isinstance(ring, IntModRing) or ring.p is None:
@@ -339,16 +341,16 @@ def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> 
         if p is None or level is None:
             raise PreconditionFailed("plain integers need explicit p and level")
         _require_prime(p)
-        ring = IntModRing(p ** (level + 1), q=p)
-        val = ring.from_int(x)
-    base = IntModRing(p, q=p)
-    comps = []
+        if level < 0:
+            raise PreconditionFailed(f"level must be at least 0, got {level}")
+        val = x % p ** (level + 1)
     m = p ** (level + 1)
-    for k in range(level + 1):
-        partial = val
-        for i, c in enumerate(comps):
-            partial = (partial - p ** i * pow(c, p ** (level - i), m)) % m
-        if partial % p ** k:
-            raise IntegralityViolation("digit extraction left a non-divisible rest")
-        comps.append((partial // p ** k) % p)
-    return WittVec(p, base, tuple(comps))
+    lifts: dict = {}
+    comps = []
+    for _ in range(level + 1):
+        c = val % p
+        if c not in lifts:
+            lifts[c] = pow(c, p ** level, m)
+        val = (val - lifts[c]) // p
+        comps.append(c)
+    return WittVec(p, IntModRing(p, q=p), tuple(comps))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,13 @@ from affaut.autgroup import (
     sample_filtered,
     sample_kernel_element,
 )
-from affaut.autgroup import _affine_order, _compose_bsgs, _poly_mul
+from affaut.autgroup import _EXHAUSTIVE_PAIRS, _affine_order, _compose_bsgs, _poly_mul
 from affaut.errors import (
     InfiniteCoefficientRing,
     NotAnAutomorphism,
     PreconditionFailed,
     ShapeMismatch,
+    TooLarge,
 )
 from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
 
@@ -1223,6 +1225,18 @@ def test_kernel_of_degree_cap_zero_is_the_translations():
     ok, checked, wit = check_abelian_kernel(R, 2, mode="exhaustive", deg_cap=0)
     assert ok and wit is None
     assert checked == 4 * 3 // 2  # T + 4c for c = 0..3
+
+
+def test_exhaustive_kernel_check_counts_pairs_first():
+    """The exhaustive mode counts the kernel elements before listing them:
+    K_3 over Z/2^6 at degree cap 4 has 8^5 elements, 5.4 * 10^8 pairs, and
+    is refused at once; the largest kernel of acceptance criterion 10, K_2
+    over Z/16 at degree cap 4 (523 776 pairs), stays within the limit."""
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge, match="sampled mode"):
+        check_abelian_kernel(IntModRing(2 ** 6, q=2), 3, mode="exhaustive", deg_cap=4)
+    assert time.perf_counter() - t0 < 2
+    assert 1024 * 1023 // 2 <= _EXHAUSTIVE_PAIRS
 
 
 def test_abelian_kernel_rejects_unknown_mode_and_infinite_rings():

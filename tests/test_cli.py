@@ -26,7 +26,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh(*argv):
+def fresh(*argv, timeout=30):
     """The command run as its own ``python -m affaut.cli`` process, which
     loads only the modules the verb imports; a hang ends at the timeout
     instead of stalling the suite."""
@@ -35,7 +35,7 @@ def fresh(*argv):
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=timeout,
     )
 
 
@@ -164,6 +164,17 @@ def test_witt_iso_usage_errors(capsys):
     assert code == 2
 
 
+def test_witt_iso_at_a_large_level_is_fast():
+    """Digit extraction keeps one running remainder, so 10^5 digits of 5
+    over Z/2^100001 take one pass; run as a fresh process, so a hang ends
+    at the timeout."""
+    out = fresh("witt-iso", "--value", "5", "--p", "2", "--level", "100000", timeout=10)
+    assert out.returncode == 0, out.stderr
+    u = json.loads(out.stdout)
+    assert u["components"][:4] == ["1", "0", "1", "0"]
+    assert not any(c != "0" for c in u["components"][4:])
+
+
 def test_witt_derive_deterministic(capsys):
     code, out1, _ = run(capsys, "witt-derive", "--p", "3", "--level", "1")
     code2, out2, _ = run(capsys, "witt-derive", "--p", "3", "--level", "1")
@@ -233,6 +244,16 @@ def test_greenberg_law_sampled_needs_seed(capsys):
         "--verify", "sampled", "--seed", "4", "--samples", "60",
     )
     assert out1 == out2
+
+
+def test_greenberg_law_at_large_shapes_finishes():
+    """Laws are composed once over the functions on Teichmüller points, so
+    the (3, 4) and (2, 5) shape laws build in well under a second; run as
+    fresh processes, so a hang ends at the timeout."""
+    for p, d in (("3", "4"), ("2", "5")):
+        out = fresh("greenberg-law", "--p", p, "--d", d, timeout=10)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["law"]["descriptor"]["d"] == int(d)
 
 
 def test_verify_law_cli(tmp_path, capsys):

@@ -401,8 +401,7 @@ def test_corrupted_law_fails_associativity():
     laws[idx] = bad_poly
     bad = GroupLaw(
         law.p, law.descriptor, law.length, law.scheme, law.coordinates,
-        law.unit_coordinate, law.has_aux, law.ring, tuple(laws), law.raw_laws,
-        law.relation,
+        law.unit_coordinate, law.has_aux, law.ring, tuple(laws), law.relation,
     )
     rng = random.Random(3)
     found = None
@@ -419,23 +418,33 @@ def test_corrupted_law_fails_associativity():
     assert rep.counterexample is not None
 
 
+def _witt_horner_laws(law):
+    """The Z-level components of the Witt-Horner composite, aligned with
+    the scheme of law."""
+    composed = _compose_by_witt_horner(law)
+    return [composed[j].components[slot] for j, slot in law.scheme]
+
+
 def test_simplification_is_conservative_on_points():
-    # exhaustive for p = 2, sampled for p = 3
+    """The generated laws agree with the Z-level Witt-Horner composite at
+    F_p points: exhaustive for p = 2, sampled for p = 3."""
     law = group_law_shape(2, 2)
     base = IntModRing(2, q=2)
     gens = law.ring.gens
+    oracle = _witt_horner_laws(law)
     for bits in itertools.product(range(2), repeat=len(gens)):
         asg = dict(zip(gens, bits))
-        for raw, simp in zip(law.raw_laws, law.laws):
+        for raw, simp in zip(oracle, law.laws):
             assert law.ring.substitute(raw, base, asg) == law.ring.substitute(
                 simp, base, asg
             )
     rng = random.Random(77)
     law3 = group_law_shape(3, 2)
     base3 = IntModRing(3, q=3)
+    oracle3 = _witt_horner_laws(law3)
     for _ in range(300):
         asg = {g: rng.randrange(3) for g in law3.ring.gens}
-        for raw, simp in zip(law3.raw_laws, law3.laws):
+        for raw, simp in zip(oracle3, law3.laws):
             assert law3.ring.substitute(raw, base3, asg) == law3.ring.substitute(
                 simp, base3, asg
             )
@@ -453,8 +462,8 @@ def test_tower_restriction_reproduces_smaller_law():
             rename[g] = (
                 small.ring.gen(g) if g in keep else small.ring.zero()
             )
-        by_name_big = dict(zip(big.coordinates, big.raw_laws))
-        for name, small_raw in zip(small.coordinates, small.raw_laws):
+        by_name_big = dict(zip(big.coordinates, big.laws))
+        for name, small_law in zip(small.coordinates, small.laws):
             big_poly = by_name_big[name]
             # the restricted relations may not mention dropped coordinates
             for e, _ in big_poly.terms.items():
@@ -463,7 +472,7 @@ def test_tower_restriction_reproduces_smaller_law():
                         raise AssertionError(
                             f"law for {name} leaks dropped coordinate {g}"
                         )
-            assert big.ring.substitute(big_poly, small.ring, rename) == small_raw
+            assert big.ring.substitute(big_poly, small.ring, rename) == small_law
 
 
 def _compose_by_witt_horner(law):
@@ -496,12 +505,21 @@ def _compose_by_witt_horner(law):
 
 
 def test_raw_laws_match_witt_horner_composition():
+    """Each law is the mod-p normal form of the Z-level Witt-Horner
+    composite."""
     laws = [group_law_shape(p, d) for p, d in ((2, 2), (3, 2), (2, 3))]
     laws += [group_law_capped(p, prec, 1) for p, prec in ((2, 2), (3, 2), (2, 3))]
     for law in laws:
-        composed = _compose_by_witt_horner(law)
-        want = tuple(composed[j].components[slot] for j, slot in law.scheme)
-        assert law.raw_laws[: len(want)] == want, law.descriptor
+        want = tuple(
+            simplify_mod_p(law.ring, c, law.p) for c in _witt_horner_laws(law)
+        )
+        assert law.laws[: len(want)] == want, law.descriptor
+        assert law.raw_laws == law.laws
+
+
+def test_shape_law_p2_d5_term_count():
+    law = group_law_shape(2, 5)
+    assert sum(len(a.terms) for a in law.laws) == 1334
 
 
 def test_point_to_aut_rejects_invalid():
