@@ -17,14 +17,15 @@ without reduction, and Horner's rule in a power of g joins the blocks.
 Over the schoolbook rings the blocks have one coefficient, which is
 Horner's rule.  Over Z/m two more paths take over: at high degree, an
 expansion around the affine part of a unit-slope inner map with
-nilpotent tail, whose affine composition splits f in halves; at low
-degree, one Horner pass over big integers that carry the exact integer
-coefficients.  The expansion reads the valuations of its inputs: a block
-of coefficients divisible by g = gcd(m, block) (q^v over Z/p^n) is
-worked on as block/g mod m/g and scaled back, so in the filtered groups,
-where high degrees carry high powers of q, the high-degree work runs at
-low precision and stops where the precision runs out.  The tests check
-every path against a schoolbook reference.
+nilpotent tail; at low degree, one Horner pass over big integers that
+carry the exact integer coefficients.  The expansion starts from the
+affine composition f(c + uT), a Taylor shift that doubles its block size
+level by level with one packed product per level, and adds the terms of
+the tail: term j is needed only modulo m / gcd(m, d^j), with d the
+common divisor of the tail and m (q^sigma over Z/p^n), so in the
+filtered groups, where high degrees carry high powers of q, those terms
+run at falling precision and stop where the precision runs out.  The
+tests check every path against a schoolbook reference.
 
 The order of an automorphism comes from the q-adic filtration as well:
 the order of its affine reduction mod q has a closed form over F_p, and a
@@ -182,62 +183,38 @@ def _compose_int_exact(f: Sequence[int], g: Sequence[int], m: int, w: int) -> li
     return _int_trim([x % m for x in _unpack(acc, count, w)])
 
 
-def _affine_power_row(c: int, u: int, h: int, m: int) -> list:
-    """(c + u*T)^h mod m via the binomial row; the binomial is kept as an
-    exact integer for its recurrence and reduced on use."""
-    cp = [1]
-    up = [1]
-    for _ in range(h):
-        cp.append(cp[-1] * c % m)
-        up.append(up[-1] * u % m)
-    row = []
-    comb = 1
-    for k in range(h + 1):
-        row.append(comb % m * cp[h - k] % m * up[k] % m)
-        comb = comb * (h - k) // (k + 1)
-    return _int_trim(row)
-
-
-def _affine_compose_int(
-    f: Sequence[int], c: int, u: int, m: int, rows: Optional[dict] = None
-) -> list:
-    """f(c + u*T) mod m.  Short f goes through the integers while the
-    result packs small, or else by quadratic Horner; longer f splits in
-    half, f = lo + T^h * hi, and recombines with one Kronecker multiply.
-    The high half is divided by its common divisor g with m (q^v over
-    Z/p^n, where the q-adic filtration puts high valuations on high
-    degrees): g * (hi/g)(c + u*T) needs hi/g only mod m/g, so the
-    recursion and its product run at the smaller modulus."""
-    if not f:
+def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
+    """f(c + u*T) mod m by a Taylor shift, level by level.  A short f whose
+    exact result packs small goes through the integers.  Otherwise, at
+    block size s = 1, 2, 4, ..., every pair of neighbouring blocks
+    (lo, hi) of the coefficient list becomes lo + (c + u*T)^s * hi, a
+    block of 2s coefficients.  All pairs of one level take one Kronecker
+    product: a byte mask and a shift split the packed list into its lo
+    and hi blocks, the hi blocks multiply the packed row (c + u*T)^s at
+    once, since each product fills its pair's 2s slots and no more, and
+    one unpack reduces mod m.  The next row is the square of this one.  A
+    slot holds lo plus at most s + 1 products of canonical coefficients,
+    with s < len(f)."""
+    n = len(f)
+    if not n:
         return []
-    if len(f) <= 16:
-        w = _exact_slot(len(f), c + u, m)
-        if w * len(f) <= _EXACT_BYTES:
-            return _compose_int_exact(f, (c, u), m, w)
-        res = [f[-1] % m]
-        for a in reversed(f[:-1]):
-            new = [(c * res[0] + a) % m]
-            new.extend((c * hi + u * lo) % m for hi, lo in zip(res[1:], res))
-            new.append(u * res[-1] % m)
-            res = new
-        return _int_trim(res)
-    rows = {} if rows is None else rows  # (c + u*T)^h mod m', by (h, m')
-    half = len(f) >> 1
-    lo = _affine_compose_int(f[:half], c, u, m, rows)
-    g = math.gcd(m, *f[half:])
-    mg = m // g
-    if mg == 1:
-        return lo
-    hi = _affine_compose_int(
-        _int_trim([x // g for x in f[half:]]), c % mg, u % mg, mg, rows
-    )
-    if not hi:
-        return lo
-    if (half, mg) not in rows:
-        rows[half, mg] = _affine_power_row(c, u, half, mg)
-    top = _kron_mul(hi, rows[half, mg], mg)
-    pairs = itertools.zip_longest(lo, top, fillvalue=0)
-    return _int_trim([(x + g * y) % m for x, y in pairs])
+    w = _exact_slot(n, c + u, m)
+    if w * n <= _EXACT_BYTES:
+        return _compose_int_exact(f, (c, u), m, w)
+    w = _slot_width(2 * (m - 1).bit_length() + n.bit_length())
+    row = _pack((c, u), w)
+    s = 1
+    while True:
+        shift = 8 * w * s
+        pairs = -(-n // (2 * s))
+        mask = int.from_bytes((b"\xff" * (w * s) + bytes(w * s)) * pairs, "little")
+        acc = _pack(f, w)
+        acc = (acc & mask) + (acc >> shift & mask) * row
+        f = [x % m for x in _unpack(acc, n, w)]
+        s *= 2
+        if s >= n:
+            return _int_trim(f)
+        row = _pack([x % m for x in _unpack(row * row, s + 1, w)], w)
 
 
 def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
@@ -247,7 +224,8 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
 
     with H_j the j-th Hasse derivative and b0 = g_0 + g_1*T.  Because
     (H_j f)(b0) = u^-j * H_j(f o b0) when b0 is affine with unit slope u,
-    one affine composition plus cheap binomial scalings covers every j.
+    one affine composition f o b0 (_affine_compose_int, at the full
+    modulus) plus binomial scalings of its coefficients covers every j.
 
     With s = rest/u and d = gcd(m, s) (q^sigma over Z/p^n), term j is
     d^j * H_j(f o b0) * (s/d)^j, so both factors are needed only mod
@@ -588,7 +566,7 @@ class TruncPoly:
                 dg >= 2
                 and df * dg > 96
                 and ring.is_unit(g_c[1])
-                and all(map(ring.is_nilpotent, g_c[2:]))
+                and ring.all_nilpotent(g_c[2:])
             ):
                 return TruncPoly._raw(ring, _compose_int_taylor(f_c, g_c, ring))
             if dg >= 1:
@@ -606,7 +584,7 @@ class TruncPoly:
             return False
         if not ring.is_unit(self._c[1]):
             return False
-        return all(map(ring.is_nilpotent, self._c[2:]))
+        return ring.all_nilpotent(self._c[2:])
 
     def identity_congruence(self) -> int:
         """Largest r (capped at the truncation exponent) with

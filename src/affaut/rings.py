@@ -94,15 +94,22 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
+# _factorize divides out the primes below this bound before it splits
+# what is left, so _prime_power_split sees only primes at least this large.
+_TRIAL_BOUND = 1000
+
+
 def _prime_power_split(m: int) -> Optional[tuple[int, int]]:
-    """Return (p, n) with m = p^n and p prime, or None: one primality
-    test per exponent n with an exact integer n-th root."""
-    if m < 2:
-        return None
-    for n in range(1, m.bit_length() + 1):
+    """Return (p, n) with m = p^n and p prime, or None, for m > 1 that is
+    prime or has no prime factor below _TRIAL_BOUND: one primality test
+    per exponent n with an exact integer n-th root, and p^n = m with
+    p >= _TRIAL_BOUND bounds the exponents past n = 1."""
+    n = 1
+    while n == 1 or _TRIAL_BOUND ** n <= m:
         p = _iroot(m, n)
         if p ** n == m and _is_prime(p):
             return p, n
+        n += 1
     return None
 
 
@@ -155,14 +162,14 @@ def _rho_divisor(m: int) -> int:
 
 
 def _factorize(m: int, smooth: Optional[int] = None) -> dict[int, int]:
-    """Prime factorization: trial division below 1000, then prime powers
-    are split by _prime_power_split and other composites by
+    """Prime factorization: trial division below _TRIAL_BOUND, then prime
+    powers are split by _prime_power_split and other composites by
     _rho_divisor.  Primality is decided by _is_prime, with the guarantee
     stated there.  With smooth, only the primes up to smooth are wanted:
     trial division runs up to it, and what is left of m, whose primes
     are all larger, is dropped."""
     out: dict[int, int] = {}
-    for d in range(2, 1000 if smooth is None else smooth + 1):
+    for d in range(2, _TRIAL_BOUND if smooth is None else smooth + 1):
         if d * d > m:
             break
         while m % d == 0:
@@ -224,6 +231,11 @@ class Ring:
 
     def one(self):
         return self.from_int(1)
+
+    def all_nilpotent(self, xs: Sequence) -> bool:
+        """Whether every payload in xs is nilpotent; true when xs is
+        empty."""
+        return all(map(self.is_nilpotent, xs))
 
     # -- q-adic structure --------------------------------------------------
 
@@ -485,18 +497,17 @@ class IntModRing(Ring):
         if m < 2:
             raise PreconditionFailed("modulus must be at least 2")
         self.m = m
-        split = _prime_power_split(m)
-        if q is not None:
-            if split is None or split[0] != q:
-                raise PreconditionFailed(f"{m} is not a power of {q}")
-        self.p, self.n = split if split else (None, None)
         try:
-            self._factors = {self.p: self.n} if split else _factorize(m)
+            self._factors = _factorize(m)
         except TooLarge as e:
             raise TooLarge(
                 f"Z/{m} needs the primes of m: {e}; "
                 "work modulo each prime power that divides m"
             ) from None
+        if q is not None and list(self._factors) != [q]:
+            raise PreconditionFailed(f"{m} is not a power of {q}")
+        split = len(self._factors) == 1
+        self.p, self.n = next(iter(self._factors.items())) if split else (None, None)
         self.radical = 1
         for pp in self._factors:
             self.radical *= pp
@@ -548,6 +559,10 @@ class IntModRing(Ring):
     def is_nilpotent(self, a):
         # a^k = 0 (mod m) eventually iff every prime of m divides a.
         return a % self.radical == 0
+
+    def all_nilpotent(self, xs):
+        # the radical divides every x exactly when it divides their gcd
+        return math.gcd(self.radical, *xs) == self.radical
 
     def inv(self, a):
         g, s, _ = _egcd(a % self.m, self.m)

@@ -322,7 +322,8 @@ def witt_to_residue(u: WittVec) -> RingElem:
     target = IntModRing(m, q=p)
     total = 0
     for i, c in enumerate(u.components):
-        total += p ** i * pow(int(c) % p, p ** (n - i), m)
+        c = int(c) % p  # 0 and 1 are their own powers
+        total += p ** i * (c if c < 2 else pow(c, p ** (n - i), m))
     return RingElem(target, target.from_int(total))
 
 

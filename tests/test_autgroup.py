@@ -23,7 +23,15 @@ from affaut.autgroup import (
     sample_filtered,
     sample_kernel_element,
 )
-from affaut.autgroup import _EXHAUSTIVE_PAIRS, _affine_order, _compose_bsgs, _poly_mul
+from affaut.autgroup import (
+    _EXACT_BYTES,
+    _EXHAUSTIVE_PAIRS,
+    _affine_compose_int,
+    _affine_order,
+    _compose_bsgs,
+    _exact_slot,
+    _poly_mul,
+)
 from affaut.errors import (
     InfiniteCoefficientRing,
     NotAnAutomorphism,
@@ -271,9 +279,9 @@ def test_zmod_product_kernel_matches_schoolbook():
 def test_compose_zmod_every_path_matches_schoolbook():
     """Random pairs over Z/m, from 1-byte slots to wide ones: short pairs go
     through the integers, longer ones by the general baby-step/giant-step
-    composition, affine inner maps split into pieces that go through the
-    integers or by quadratic Horner, and unit-slope inner maps with
-    nilpotent tail take the expansion around the affine part."""
+    composition, affine inner maps through the integers or by the
+    level-by-level Taylor shift, and unit-slope inner maps with nilpotent
+    tail take the expansion around the affine part."""
     rng = random.Random(433)
     for m in (2, 12, 3 ** 6, 5 ** 6, 2 ** 40, 2 ** 100):
         R = IntModRing(m)
@@ -304,7 +312,7 @@ def test_compose_zmod_valuation_profiles_match_schoolbook():
     valuations, not the filtered ones: the Taylor path with tails of
     valuation sigma = 1, 2, 3 (so the terms stop at j*sigma >= n, and the
     powers and derivatives run at falling moduli p^(n - j*sigma)), and the
-    affine path, whose halves are divided by their common power of p."""
+    affine path, at unit and non-unit slopes."""
     rng = random.Random(434)
     for p in (2, 3, 5, 7):
         for n in (2, 4, 7, 10):
@@ -348,6 +356,50 @@ def test_compose_composite_modulus_scaled_terms_match_schoolbook():
             gc = [rng.randrange(m), rng.randrange(1, m)]
             got = compose(P(R, fc), P(R, gc))
             assert [c.value for c in got.coeffs] == compose_naive(fc, gc, m), m
+
+
+def test_affine_compose_int_matches_schoolbook():
+    """f(c + u*T) against the schoolbook composition over Z/p^k and
+    composite m, 2^100 included: every length 0..70, where the exact route
+    gives way to the Taylor shift, and 2^k - 1, 2^k, 2^k + 1 up to 513,
+    which leave the last pair of a level full, partial or without its hi
+    block; c = 0, u = 0, a non-unit u, and coefficients all m - 1, which
+    fill the slots of every level to their bound."""
+    rng = random.Random(436)
+    lengths = list(range(71)) + [2 ** k + d for k in range(7, 10) for d in (-1, 0, 1)]
+    for m in (2, 3 ** 5, 2 ** 10, 7 ** 12, 12, 1800, 2 ** 100):
+        p = next(d for d in range(2, m + 1) if m % d == 0)
+        for n in lengths:
+            full = [m - 1] * n
+            rand = [rng.randrange(m) for _ in range(n)]
+            for f, c, u in [
+                (full, m - 1, m - 1),
+                (rand, 0, rng.randrange(1, m)),
+                (rand, rng.randrange(m), 0),
+                (rand, rng.randrange(m), p * rng.randrange(m) % m),
+            ]:
+                want = compose_naive(f, [c, u], m)
+                assert _affine_compose_int(f, c, u, m) == want, (m, n, c, u)
+
+
+def test_affine_compose_int_takes_the_exact_route_up_to_its_bound(monkeypatch):
+    """Over Z/2^100 with c + u of 10 bits, length 16 packs the exact result
+    into 32-byte slots, _EXACT_BYTES in all, and goes through the integers;
+    length 17 needs more and takes the Taylor shift."""
+    import affaut.autgroup as ag
+
+    m, c, u = 2 ** 100, 500, 13
+    assert _exact_slot(16, c + u, m) * 16 == _EXACT_BYTES
+    assert _exact_slot(17, c + u, m) * 17 > _EXACT_BYTES
+    calls = []
+    exact = ag._compose_int_exact
+    monkeypatch.setattr(ag, "_compose_int_exact", lambda *a: calls.append(a) or exact(*a))
+    rng = random.Random(437)
+    for n, routed in ((16, 1), (17, 0)):
+        f = [rng.randrange(m) for _ in range(n)]
+        assert _affine_compose_int(f, c, u, m) == compose_naive(f, [c, u], m)
+        assert len(calls) == routed, n
+        calls.clear()
 
 
 # the baby-step/giant-step composition: f in blocks of k coefficients

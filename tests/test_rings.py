@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,7 @@ from affaut.rings import (
     _factorize,
     _is_prime,
     _pow_payload,
+    _prime_power_split,
     _require_prime,
     parse_ring_flag,
     ring_from_descriptor,
@@ -142,11 +147,16 @@ def test_q_val_min_is_smallest_valuation():
 
 
 def test_intmod_nilpotency_matches_brute_force():
+    rng = random.Random(904)
     for m in (4, 9, 12, 16, 72):
         R = IntModRing(m)
+        brute = [any(pow(a, k, m) == 0 for k in range(1, 40)) for a in range(m)]
         for a in range(m):
-            brute = any(pow(a, k, m) == 0 for k in range(1, 40))
-            assert R.elem(a).is_nilpotent() == brute, (m, a)
+            assert R.elem(a).is_nilpotent() == brute[a], (m, a)
+        assert R.all_nilpotent([])
+        for _ in range(200):
+            xs = [rng.randrange(m) for _ in range(rng.randrange(1, 5))]
+            assert R.all_nilpotent(xs) == all(brute[a] for a in xs), (m, xs)
 
 
 def test_series_inverse_frozen():
@@ -383,9 +393,40 @@ def test_factorization_and_primality_against_trial_division():
         want = _trial_factors(m)
         assert _factorize(m) == want, m
         assert _is_prime(m) == (want == {m: 1}), m
+        R = IntModRing(m)
+        split = next(iter(want.items())) if len(want) == 1 else (None, None)
+        assert (R.p, R.n) == split, m
+    # numbers with no prime below the trial bound
+    for p, n in ((1009, 3), (M61, 2), (2 ** 31 - 1, 3), (1000003, 1)):
+        assert _prime_power_split(p ** n) == (p, n)
+    for m in (1009 ** 2 * 1013 ** 2, M61 * (2 ** 31 - 1), 1013 * 1009 ** 3):
+        assert _prime_power_split(m) is None, m
     # strong pseudoprimes to the first nine and twelve prime bases
     for spsp in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not _is_prime(spsp)
+
+
+def test_large_prime_power_moduli_construct_quickly():
+    """Z/2^20001 and Z/3^12000 each construct within 2 s, timed in a fresh
+    process; a hang ends at the timeout instead of stalling the suite."""
+    code = (
+        "import time; from affaut.rings import IntModRing\n"
+        "for m, q in ((2 ** 20001, 2), (3 ** 12000, 3)):\n"
+        "    t = time.perf_counter(); R = IntModRing(m, q=q)\n"
+        "    print(R.p, R.n, time.perf_counter() - t)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [(int(p), int(n)) for p, n, _ in rows] == [(2, 20001), (3, 12000)]
+    assert all(float(t) < 2 for _, _, t in rows), rows
 
 
 def test_one_power_helper_for_every_ring():
