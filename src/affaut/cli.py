@@ -493,6 +493,10 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # exact answers may have more digits than Python's default int <-> str
+    # limit of 4300, in a --value and in every printed modulus or payload
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

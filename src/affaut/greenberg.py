@@ -15,6 +15,7 @@ asserted during generation, so a law is a machine-checked closure proof.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -192,33 +193,52 @@ def capped_coordinate_scheme(degree_cap: int, precision: int) -> List[Tuple[int,
 # group laws
 
 
+def _layout(descriptor: dict):
+    """What a law descriptor fixes: p, the Witt vector length (= ring
+    precision), the coordinate scheme, the coordinate names and the
+    generators: left coordinates, then the primed right ones, then y and
+    y' for the capped kind, whose y inverts the unit coordinate a1_0."""
+    kind = descriptor.get("kind")
+    if kind == "shape":
+        length = descriptor["d"]
+        scheme = shape_coordinate_scheme(length)
+    elif kind == "capped":
+        length = descriptor["precision"]
+        scheme = capped_coordinate_scheme(descriptor["degree_cap"], length)
+    else:
+        raise PreconditionFailed(f"unknown law kind {kind!r}")
+    p = _require_prime(descriptor["p"])
+    names = tuple(f"a{j}_{slot}" for j, slot in scheme)
+    aux = ("y",) if kind == "capped" else ()
+    gens = names + tuple(n + "'" for n in names) + aux + tuple(n + "'" for n in aux)
+    return p, length, tuple(scheme), names + aux, gens
+
+
 class GroupLaw(_Frozen):
     """Composition written as polynomials over F_p in the coordinates of
     the left factor and the primed coordinates of the right factor, each
     law in the normal form of the function it induces on F_p points.
-    _compiled caches the point programs; equality and repr leave it out."""
+    A law is its descriptor and its laws, aligned with the coordinates;
+    every other field follows from the descriptor (see _layout).  The
+    unit coordinate is a1_0; with the auxiliary y, a point satisfies the
+    relation a1_0 * y - 1.  _compiled caches the point programs; equality
+    and repr leave it out."""
 
     __slots__ = (
         "p", "descriptor", "length", "scheme", "coordinates", "unit_coordinate",
         "has_aux", "ring", "laws", "relation", "_compiled",
     )
 
-    def __init__(
-        self,
-        p: int,
-        descriptor: dict,
-        length: int,                      # Witt vector length = ring precision
-        scheme: Tuple[Tuple[int, int], ...],
-        coordinates: Tuple[str, ...],     # includes "y" last when has_aux
-        unit_coordinate: str,
-        has_aux: bool,
-        ring: SymbolicRing,
-        laws: Tuple[SymElem, ...],        # normal forms, aligned with coordinates
-        relation: Optional[SymElem],
-    ):
+    def __init__(self, descriptor: dict, laws: Sequence[SymElem]):
+        p, length, scheme, coordinates, gens = _layout(descriptor)
+        ring = SymbolicRing(gens, q=p)
+        has_aux = len(coordinates) > len(scheme)
+        relation = None
+        if has_aux:
+            relation = ring.sub(ring.mul(ring.gen("a1_0"), ring.gen("y")), ring.one())
         super().__init__(
-            p, descriptor, length, scheme, coordinates, unit_coordinate,
-            has_aux, ring, laws, relation, None,
+            p, descriptor, length, scheme, coordinates, "a1_0",
+            has_aux, ring, tuple(laws), relation, None,
         )
 
     @property
@@ -240,13 +260,16 @@ class GroupLaw(_Frozen):
         object.__setattr__(self, "_compiled", tuple(progs))
         return self._compiled
 
+    def _point(self, digits: Sequence[int]) -> Tuple[int, ...]:
+        """The point with these scheme coordinates, y = unit^-1 mod p
+        appended when the law has it."""
+        if not self.has_aux:
+            return tuple(digits)
+        unit = digits[self.coordinates.index(self.unit_coordinate)]
+        return (*digits, pow(unit, -1, self.p))
+
     def identity_point(self) -> Tuple[int, ...]:
-        out = []
-        for name, (j, slot) in zip(self.coordinates, self.scheme):
-            out.append(1 if (j, slot) == (1, 0) else 0)
-        if self.has_aux:
-            out.append(1)
-        return tuple(out)
+        return self._point([int(key == (1, 0)) for key in self.scheme])
 
     def is_valid_point(self, t: Sequence[int]) -> bool:
         if len(t) != len(self.coordinates):
@@ -313,23 +336,16 @@ class GroupLaw(_Frozen):
         top = max(j for j, _ in self.scheme)
         if f.degree() is not None and f.degree() > top:
             raise ShapeMismatch("degree exceeds the coordinate scheme")
-        free = {}
-        for j, slot in self.scheme:
-            free.setdefault(j, set()).add(slot)
+        free = set(self.scheme)
         digits = {}
         for j in range(top + 1):
-            vec = residue_to_witt(f.coeff(j))
-            digits[j] = [int(c) for c in vec.components]
-            for slot in range(self.length):
-                if slot not in free.get(j, set()) and digits[j][slot]:
+            for slot, c in enumerate(residue_to_witt(f.coeff(j)).components):
+                digits[j, slot] = int(c)
+                if c and (j, slot) not in free:
                     raise ShapeMismatch(
                         f"coefficient of T^{j} has forced slot {slot} set"
                     )
-        out = [digits[j][slot] for j, slot in self.scheme]
-        if self.has_aux:
-            unit = out[self.coordinates.index(self.unit_coordinate)]
-            out.append(pow(unit, -1, self.p))
-        return tuple(out)
+        return self._point([digits[key] for key in self.scheme])
 
     # -- serialization --------------------------------------------------------
 
@@ -357,32 +373,23 @@ class GroupLaw(_Frozen):
         return "\n".join(lines)
 
 
-def _build_law(
-    p: int,
-    length: int,
-    scheme: List[Tuple[int, int]],
-    descriptor: dict,
-    with_aux: bool,
-) -> GroupLaw:
-    """Shared generator: one composition of the symbolic left and right
-    maps over the functions on Teichmüller points, then the Witt digits of
-    every composite coefficient, with closure assertions on the digits."""
+def _build_law(descriptor: dict) -> GroupLaw:
+    """The law a descriptor names: one composition of the symbolic left
+    and right maps over the functions on Teichmüller points, then the Witt
+    digits of every composite coefficient, with closure assertions on the
+    digits; with the auxiliary y, its law is y * y'."""
     from .autgroup import TruncPoly
 
-    _require_prime(p)
+    p, length, scheme, coordinates, gens = _layout(descriptor)
     top = max(j for j, _ in scheme)
-    left_names = [f"a{j}_{slot}" for j, slot in scheme]
-    right_names = [n + "'" for n in left_names]
-    gens = tuple(left_names + right_names + (["y", "y'"] if with_aux else []))
     R = _PointFunctions(gens, p, length)
 
     # at Teichmüller points witt_to_residue sends the coefficient vector of
     # T^j to sum_slot p^slot * a{j}_{slot}
     def side(mark: str) -> TruncPoly:
         coeffs = [R.zero()] * (top + 1)
-        for j, slot in scheme:
-            term = R.monomial(p ** slot, {f"a{j}_{slot}{mark}": 1})
-            coeffs[j] = R.add(coeffs[j], term)
+        for name, (j, slot) in zip(coordinates, scheme):
+            coeffs[j] = R.add(coeffs[j], R.monomial(p ** slot, {name + mark: 1}))
         return TruncPoly(R, coeffs)
 
     # peel the digits: d_s is x mod p, and d_s^(p^(length-1-s)) its
@@ -401,57 +408,24 @@ def _build_law(
                 lift = _pow_payload(R, d, p ** (length - 1 - slot))
                 x = R.exact_div_q(R.sub(x, lift), 1)
 
-    S = SymbolicRing(gens, q=p)
-    laws = [digits.get(key, S.zero()) for key in scheme]
-    coordinates = tuple(left_names)
-    relation = None
-    if with_aux:
-        coordinates = coordinates + ("y",)
-        laws.append(S.mul(S.gen("y"), S.gen("y'")))
-        relation = S.sub(S.mul(S.gen("a1_0"), S.gen("y")), S.one())
-    return GroupLaw(
-        p=p,
-        descriptor=descriptor,
-        length=length,
-        scheme=tuple(scheme),
-        coordinates=coordinates,
-        unit_coordinate="a1_0",
-        has_aux=with_aux,
-        ring=S,
-        laws=tuple(laws),
-        relation=relation,
-    )
+    laws = [digits.get(key, R.zero()) for key in scheme]
+    if len(coordinates) > len(scheme):
+        laws.append(R.mul(R.gen("y"), R.gen("y'")))
+    return GroupLaw(descriptor, laws)
 
 
 def group_law_shape(p: int, d: int) -> GroupLaw:
     """Composition law for the degree-d shape-bounded subgroup at ring
     precision d, on Witt coordinates over F_p."""
-    scheme = shape_coordinate_scheme(d)
-    return _build_law(
-        p,
-        d,
-        scheme,
-        {"kind": "shape", "p": p, "d": d},
-        with_aux=False,
-    )
+    return _build_law({"kind": "shape", "p": p, "d": d})
 
 
 def group_law_capped(p: int, precision: int, degree_cap: int) -> GroupLaw:
     """Composition law for degree-filtered automorphisms at the given ring
     precision, with the unit-slope locus carried by the auxiliary
     coordinate y and the relation a1_0 * y - 1."""
-    scheme = capped_coordinate_scheme(degree_cap, precision)
     return _build_law(
-        p,
-        precision,
-        scheme,
-        {
-            "kind": "capped",
-            "p": p,
-            "precision": precision,
-            "degree_cap": degree_cap,
-        },
-        with_aux=True,
+        {"kind": "capped", "p": p, "precision": precision, "degree_cap": degree_cap}
     )
 
 
@@ -489,33 +463,19 @@ class AxiomReport(NamedTuple):
 
 
 def enumerate_points(law: GroupLaw) -> List[Tuple[int, ...]]:
-    p = law.p
-    free = len(law.coordinates) - (1 if law.has_aux else 0)
-    unit_pos = law.coordinates.index(law.unit_coordinate)
-    points = []
-    for code in range(p ** free):
-        digits = []
-        c = code
-        for _ in range(free):
-            digits.append(c % p)
-            c //= p
-        if digits[unit_pos] % p == 0:
-            continue
-        if law.has_aux:
-            digits.append(pow(digits[unit_pos], -1, p))
-        points.append(tuple(digits))
-    return points
+    """Every valid point, the first scheme coordinate varying fastest."""
+    unit = law.coordinates.index(law.unit_coordinate)
+    return [
+        law._point(digits[::-1])
+        for digits in itertools.product(range(law.p), repeat=len(law.scheme))
+        if digits[-1 - unit]
+    ]
 
 
 def sample_point(law: GroupLaw, rng) -> Tuple[int, ...]:
-    p = law.p
-    unit_pos = law.coordinates.index(law.unit_coordinate)
-    free = len(law.coordinates) - (1 if law.has_aux else 0)
-    digits = [rng.randrange(p) for _ in range(free)]
-    digits[unit_pos] = rng.randrange(1, p)
-    if law.has_aux:
-        digits.append(pow(digits[unit_pos], -1, p))
-    return tuple(digits)
+    digits = [rng.randrange(law.p) for _ in law.scheme]
+    digits[law.coordinates.index(law.unit_coordinate)] = rng.randrange(1, law.p)
+    return law._point(digits)
 
 
 # the most triples the exhaustive mode checks: about 40 s at the 25 000
@@ -529,85 +489,73 @@ def verify_group_axioms(
     rng=None,
     samples: int = 10000,
 ) -> AxiomReport:
+    """Check the group axioms of a law on F_p points.
+
+    The exhaustive mode takes every valid point: the identity on each,
+    associativity on every triple (refused with TooLarge past
+    _EXHAUSTIVE_TRIPLES), and a two-sided inverse for each, searched
+    among the points.  The sampled mode draws min(samples, 400) points
+    for the identity, then `samples` random triples for associativity,
+    and checks the inverses of the first 50 points through `invert` on
+    the polynomial maps they stand for.  The counterexample is the
+    first failure in that order of checks."""
+    compose = law.compose_points
     e = law.identity_point()
     if mode == "exhaustive":
-        free = len(law.coordinates) - (1 if law.has_aux else 0)
-        count = (law.p - 1) * law.p ** (free - 1)
+        count = (law.p - 1) * law.p ** (len(law.scheme) - 1)
         if count ** 3 > _EXHAUSTIVE_TRIPLES:
             raise TooLarge(
                 f"exhaustive verification takes {count}^3 triples, more than "
                 f"{_EXHAUSTIVE_TRIPLES}; use the sampled mode (--verify sampled)"
             )
-        points = enumerate_points(law)
-        triples = None
+        points = inverse_points = enumerate_points(law)
+        # a∘b once per pair, then every c against it
+        rows = ((a, b, points) for a in points for b in points)
+
+        def has_inverse(t):
+            return any(compose(t, u) == e and compose(u, t) == e for u in points)
+
     elif mode == "sampled":
         if rng is None:
             raise PreconditionFailed("sampled verification needs an rng")
         if samples < 1:
             raise PreconditionFailed(f"need at least one sample, got {samples}")
         points = [sample_point(law, rng) for _ in range(min(samples, 400))]
-        triples = [
-            (sample_point(law, rng), sample_point(law, rng), sample_point(law, rng))
+        rows = [
+            (sample_point(law, rng), sample_point(law, rng), (sample_point(law, rng),))
             for _ in range(samples)
         ]
+        inverse_points = points[:50]
+        from .inversion import invert
+
+        def has_inverse(t):
+            u = law.aut_to_point(invert(law.point_to_aut(t)))
+            return compose(t, u) == e and compose(u, t) == e
+
     else:
         raise PreconditionFailed(f"unknown mode {mode!r}")
 
-    identity_ok = True
+    witness = next(
+        ((t,) for t in points if compose(e, t) != t or compose(t, e) != t), None
+    )
+    identity_ok = witness is None
+
     associativity_ok = True
-    inverses_ok = True
-    witness = None
-
-    for t in points:
-        if law.compose_points(e, t) != t or law.compose_points(t, e) != t:
-            identity_ok = False
-            witness = witness or (t,)
-            break
-
     triples_checked = 0
-    if mode == "exhaustive":
-        for a in points:
-            for b in points:
-                ab = law.compose_points(a, b)
-                for c in points:
-                    if law.compose_points(ab, c) != law.compose_points(
-                        a, law.compose_points(b, c)
-                    ):
-                        associativity_ok = False
-                        witness = witness or (a, b, c)
-                        break
-                    triples_checked += 1
-                if not associativity_ok:
-                    break
-            if not associativity_ok:
-                break
-        point_set = set(points)
-        for t in points:
-            if not any(
-                law.compose_points(t, u) == e and law.compose_points(u, t) == e
-                for u in point_set
-            ):
-                inverses_ok = False
-                witness = witness or (t,)
-                break
-    else:
-        for a, b, c in triples:
-            if law.compose_points(law.compose_points(a, b), c) != law.compose_points(
-                a, law.compose_points(b, c)
-            ):
+    for a, b, cs in rows:
+        ab = compose(a, b)
+        for c in cs:
+            if compose(ab, c) != compose(a, compose(b, c)):
                 associativity_ok = False
                 witness = witness or (a, b, c)
                 break
             triples_checked += 1
-        # inverses through the polynomial-map dictionary
-        from .inversion import invert
+        if not associativity_ok:
+            break
 
-        for t in points[:50]:
-            u = law.aut_to_point(invert(law.point_to_aut(t)))
-            if law.compose_points(t, u) != e or law.compose_points(u, t) != e:
-                inverses_ok = False
-                witness = witness or (t,)
-                break
+    missing = next((t for t in inverse_points if not has_inverse(t)), None)
+    if missing is not None:
+        witness = witness or (missing,)
 
     return AxiomReport(
         mode=mode,
@@ -615,6 +563,6 @@ def verify_group_axioms(
         triples_checked=triples_checked,
         identity_ok=identity_ok,
         associativity_ok=associativity_ok,
-        inverses_ok=inverses_ok,
+        inverses_ok=missing is None,
         counterexample=witness,
     )

@@ -2,6 +2,7 @@
 exit-code contract, determinism, and agreement with direct library
 calls."""
 
+import decimal
 import json
 import os
 import pathlib
@@ -173,6 +174,35 @@ def test_witt_iso_at_a_large_level_is_fast():
     u = json.loads(out.stdout)
     assert u["components"][:4] == ["1", "0", "1", "0"]
     assert not any(c != "0" for c in u["components"][4:])
+
+
+def test_witt_iso_prints_residues_past_the_int_digit_limit(tmp_path):
+    """The residue of a level-20000 vector has a 6 021-digit modulus, past
+    Python's default int-to-str limit of 4 300 digits."""
+    big = tmp_path / "big.json"
+    out = fresh("witt-iso", "--value", "5", "--p", "2", "--level", "20000", "--out", str(big))
+    assert out.returncode == 0, out.stderr
+    out = fresh("witt-iso", "--u", str(big))
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    with decimal.localcontext() as ctx:  # str(int) would hit that limit here
+        ctx.prec = 7000
+        assert got["modulus"] == str(decimal.Decimal(2) ** 20001)
+    assert got["residue"] == "5"
+
+
+def test_witt_add_and_mul_refuse_large_lifts_at_once(tmp_path):
+    """Over F_p, witt-add and witt-mul lift to integers of about
+    p^level * bits(p - 1) bits; past the ceiling they exit 1 with TooLarge
+    and name the witt-iso residue route instead of running for minutes."""
+    for p, level in ((3, 14), (5, 10), (2, 24)):
+        vec = tmp_path / f"u{p}.json"
+        made = fresh("witt-iso", "--value", str(p - 1), "--p", str(p), "--level", str(level), "--out", str(vec))
+        assert made.returncode == 0, made.stderr
+        for verb in ("witt-add", "witt-mul"):
+            out = fresh(verb, "--u", str(vec), "--v", str(vec), timeout=10)
+            assert out.returncode == 1, (verb, p, level, out.stderr)
+            assert out.stderr.startswith("TooLarge:") and "witt-iso" in out.stderr
 
 
 def test_witt_derive_deterministic(capsys):

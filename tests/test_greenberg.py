@@ -399,10 +399,7 @@ def test_corrupted_law_fails_associativity():
     bad_poly = S.sub(law.laws[idx], S.mul(S.from_int(2), law.laws[idx]))
     laws = list(law.laws)
     laws[idx] = bad_poly
-    bad = GroupLaw(
-        law.p, law.descriptor, law.length, law.scheme, law.coordinates,
-        law.unit_coordinate, law.has_aux, law.ring, tuple(laws), law.relation,
-    )
+    bad = GroupLaw(law.descriptor, laws)
     rng = random.Random(3)
     found = None
     for _ in range(200):
@@ -535,6 +532,90 @@ def test_point_to_aut_rejects_invalid():
 
 # ---------------------------------------------------------------------------
 # degree-capped laws for the full group
+
+
+def _perturbed(law, name, change):
+    """law with the law f of one coordinate replaced by change(ring, f)."""
+    laws = list(law.laws)
+    i = law.coordinates.index(name)
+    laws[i] = change(law.ring, laws[i])
+    return GroupLaw(law.descriptor, laws)
+
+
+def _cross(S, f):  # the added term is zero when either factor is the identity
+    return S.add(f, S.mul(S.gen("a0_0"), S.gen("a0_0'")))
+
+
+def _report(mode, points, triples, axioms, witness):
+    identity, associativity, inverses = axioms
+    return {
+        "mode": mode, "points_checked": points, "triples_checked": triples,
+        "identity": identity, "associativity": associativity,
+        "inverses": inverses, "counterexample": witness,
+    }
+
+
+# corrupted laws with the full reports of both modes, frozen: the counts
+# and the first witness pin down the order of the checks
+FROZEN_REPORTS = [
+    (
+        lambda: _perturbed(group_law_shape(2, 2), "a0_0", _cross),
+        _report("exhaustive", 16, 1041, (True, False, False),
+                [[0, 0, 1, 1, 0], [1, 0, 1, 0, 0], [1, 0, 1, 0, 0]]),
+        _report("sampled", 200, 5, (True, False, False),
+                [[1, 0, 1, 1, 0], [1, 1, 1, 1, 0], [1, 1, 1, 1, 0]]),
+    ),
+    (
+        # a0_1'' = a0_1: the right factor and the carries dropped
+        lambda: _perturbed(group_law_shape(2, 2), "a0_1", lambda S, f: S.gen("a0_1")),
+        _report("exhaustive", 16, 4096, (False, True, False), [[0, 1, 1, 0, 0]]),
+        _report("sampled", 200, 200, (False, True, False), [[1, 1, 1, 1, 0]]),
+    ),
+    (
+        lambda: _perturbed(group_law_capped(2, 2, 1), "a0_1", _cross),
+        _report("exhaustive", 8, 512, (True, True, True), None),
+        _report("sampled", 200, 200, (True, True, False), [[1, 0, 1, 0, 1]]),
+    ),
+    (
+        lambda: _perturbed(group_law_capped(2, 3, 1), "a0_1", _cross),
+        _report("exhaustive", 64, 4162, (True, False, False), [
+            [1, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 1, 0, 0, 0, 1],
+            [0, 1, 0, 1, 0, 0, 0, 1],
+        ]),
+        _report("sampled", 200, 0, (True, False, False), [
+            [0, 1, 0, 1, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0, 1],
+            [1, 0, 1, 1, 1, 0, 1, 1],
+        ]),
+    ),
+]
+
+
+@pytest.mark.parametrize("build, exhaustive, sampled", FROZEN_REPORTS)
+def test_corrupted_law_reports_frozen(build, exhaustive, sampled):
+    bad = build()
+    assert verify_group_axioms(bad, "exhaustive").to_json() == exhaustive
+    rep = verify_group_axioms(bad, "sampled", rng=random.Random(7), samples=200)
+    assert rep.to_json() == sampled
+
+
+# shape (p, d) and capped (p, precision, degree_cap) laws
+LAW_SPECS = [
+    ("shape", 2, 2), ("shape", 3, 2), ("shape", 5, 2), ("shape", 7, 2),
+    ("shape", 2, 3), ("shape", 3, 3), ("shape", 2, 4),
+    ("capped", 2, 2, 1), ("capped", 2, 2, 2), ("capped", 3, 2, 1),
+    ("capped", 3, 2, 2), ("capped", 2, 3, 1), ("capped", 3, 3, 1),
+]
+
+
+def test_group_law_is_its_descriptor_and_laws():
+    for kind, *args in LAW_SPECS:
+        law = (group_law_shape if kind == "shape" else group_law_capped)(*args)
+        assert GroupLaw(law.descriptor, law.laws) == law
+        assert law.has_aux == (kind == "capped")
+    with pytest.raises(PreconditionFailed, match="unknown law kind"):
+        GroupLaw({"kind": "affine", "p": 2}, ())
+    with pytest.raises(PreconditionFailed, match="not a prime"):
+        GroupLaw({"kind": "shape", "p": 4, "d": 2}, ())
 
 
 def test_capped_law_degree_one_is_affine():

@@ -12,7 +12,9 @@ from affaut.errors import (
     PreconditionFailed,
     RingMismatch,
     ShapeMismatch,
+    TooLarge,
 )
+from affaut import witt as wt
 from affaut.rings import IntegerRing, IntModRing, SymbolicRing, TruncSeriesRing
 from affaut.witt import (
     UniversalWittLaw,
@@ -292,6 +294,27 @@ def test_add_frozen_f2():
 
 def test_mul_frozen_f2():
     assert witt_mul(fp_vec(2, [1, 1]), fp_vec(2, [1, 1])) == fp_vec(2, [1, 0])
+
+
+def test_lifted_arithmetic_refuses_past_the_bit_ceiling(monkeypatch):
+    """Over Z/m the components are lifted to Z, where the top ghost
+    component holds about p^level * bits(m - 1) bits; past _LIFT_BITS
+    witt_add and witt_mul refuse before lifting anything."""
+    u = fp_vec(3, [2, 1, 2])  # 3^2 * 2 = 18 bits
+    monkeypatch.setattr(wt, "_LIFT_BITS", 18)
+    x = int(witt_to_residue(u).value)
+    assert witt_to_residue(witt_add(u, u)).value == 2 * x % 27
+    monkeypatch.setattr(wt, "_LIFT_BITS", 17)
+    for op in (witt_add, witt_mul):
+        with pytest.raises(TooLarge, match="witt-iso"):
+            op(u, u)
+    # only F_p components have the residue route
+    w = WittVec.make(3, IntModRing(9, q=3), [8, 8, 8])  # 9 * 4 bits
+    with pytest.raises(TooLarge) as err:
+        witt_add(w, w)
+    assert "witt-iso" not in str(err.value)
+    # torsion-free rings are not lifted, so the ceiling does not apply
+    assert witt_add(int_vec(3, [2, 1, 2]), int_vec(3, [0, 0, 0])) == int_vec(3, [2, 1, 2])
 
 
 def test_add_zero_is_identity():
