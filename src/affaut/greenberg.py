@@ -521,10 +521,11 @@ def verify_group_axioms(
         if samples < 1:
             raise PreconditionFailed(f"need at least one sample, got {samples}")
         points = [sample_point(law, rng) for _ in range(min(samples, 400))]
-        rows = [
+        # drawn as they are checked: an early failure stops the draws
+        rows = (
             (sample_point(law, rng), sample_point(law, rng), (sample_point(law, rng),))
             for _ in range(samples)
-        ]
+        )
         inverse_points = points[:50]
         from .inversion import invert
 

@@ -334,26 +334,46 @@ def derive_witt_laws(p: int, level: int) -> UniversalWittLaw:
 # the residue-ring identification
 
 
+def _teichmuller(c: int, p: int, k: int) -> int:
+    """tau(c) mod p^k, the root of x^(p-1) = 1 congruent to c mod p (0 for
+    c = 0), which is c^(p^(k-1)) mod p^k: Newton's method doubles the
+    precision of the root each step, where the power would take an
+    exponent of k*log2(p) bits."""
+    if c < 2:
+        return c
+    x, e = c, 1
+    while e < k:
+        e = min(2 * e, k)
+        m = p ** e
+        x = (x - (pow(x, p - 1, m) - 1) * pow((p - 1) * pow(x, p - 2, m), -1, m)) % m
+    return x
+
+
 def witt_to_residue(u: WittVec) -> RingElem:
     """Send [u_0..u_n] over F_p to w_n of its canonical integer lifts in
-    Z/p^(n+1); a ring isomorphism from length-(n+1) vectors."""
+    Z/p^(n+1); a ring isomorphism from length-(n+1) vectors.  The term
+    p^i * u_i^(p^(n-i)) is p^i * tau(u_i) mod p^(n+1), so the value is
+    sum_i p^i * tau(u_i), with each Teichmueller lift computed once."""
     p = u.p
     n = u.level
     if not isinstance(u.ring, (IntModRing, IntegerRing)):
         raise PreconditionFailed("residue identification needs integer components")
     m = p ** (n + 1)
     target = IntModRing(m, q=p)
+    lifts: dict = {}
     total = 0
-    for i, c in enumerate(u.components):
-        c = int(c) % p  # 0 and 1 are their own powers
-        total += p ** i * (c if c < 2 else pow(c, p ** (n - i), m))
-    return RingElem(target, target.from_int(total))
+    for c in reversed(u.components):
+        c = int(c) % p
+        if c not in lifts:
+            lifts[c] = _teichmuller(c, p, n + 1)
+        total = (total * p + lifts[c]) % m
+    return RingElem(target, total)
 
 
 def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> WittVec:
     """Inverse of witt_to_residue by greedy digit extraction: x is the sum
-    of p^i * tau(u_i) with tau(c) = c^(p^level), so u_0 = x mod p and
-    (x - tau(u_0))/p holds the rest; each lift is computed once."""
+    of p^i * tau(u_i), so u_0 = x mod p and (x - tau(u_0))/p holds the
+    rest; each lift is computed once."""
     if isinstance(x, RingElem):
         ring = x.ring
         if not isinstance(ring, IntModRing) or ring.p is None:
@@ -368,13 +388,12 @@ def residue_to_witt(x, p: Optional[int] = None, level: Optional[int] = None) -> 
         if level < 0:
             raise PreconditionFailed(f"level must be at least 0, got {level}")
         val = x % p ** (level + 1)
-    m = p ** (level + 1)
     lifts: dict = {}
     comps = []
     for _ in range(level + 1):
         c = val % p
         if c not in lifts:
-            lifts[c] = pow(c, p ** level, m)
+            lifts[c] = _teichmuller(c, p, level + 1)
         val = (val - lifts[c]) // p
         comps.append(c)
     return WittVec(p, IntModRing(p, q=p), tuple(comps))

@@ -420,6 +420,165 @@ def _inner_maps(coeff, nilpotent, zero, one):
     ]
 
 
+# --------------------------------------------------------------------------
+# the q-adic split of long compositions over Z/p^n
+
+
+def _split_results(monkeypatch, split_len=None):
+    """The result of every q-adic split attempt from here on; None marks a
+    declined one.  A split_len below the default lets maps short enough
+    for the schoolbook reference split: the split is exact at any length,
+    and the threshold only keeps it where it pays."""
+    import affaut.autgroup as ag
+
+    if split_len is not None:
+        monkeypatch.setattr(ag, "_SPLIT_LEN", split_len)
+    results = []
+    split = ag._compose_int_split
+    monkeypatch.setattr(
+        ag, "_compose_int_split",
+        lambda f, g, ring: results.append(split(f, g, ring)) or results[-1],
+    )
+    return results
+
+
+def _coeffs(h):
+    return list(h.raw_coeffs())
+
+
+def test_compose_split_matches_schoolbook_on_filtered_maps(monkeypatch):
+    """Filtered pairs over p in {2, 3, 5, 7}, n = 2..12, d in {1, 2, 4},
+    splitting from 16 terms on.  Maps of at most 129 terms meet the
+    schoolbook composition; the longer ones, whose schoolbook composition
+    runs to 10^11 steps, meet the unsplit expansion, which the tests
+    above tie to the schoolbook."""
+    import affaut.autgroup as ag
+
+    results = _split_results(monkeypatch, 16)
+    rng = random.Random(440)
+    for p in (2, 3, 5, 7):
+        for n in range(2, 13):
+            R = IntModRing(p ** n, q=p)
+            for d in (1, 2, 4):
+                f, g = sample_filtered(R, d, rng), sample_filtered(R, d, rng)
+                fc, gc = _coeffs(f), _coeffs(g)
+                if len(fc) <= 129:
+                    want = compose_naive(fc, gc, R.m)
+                else:
+                    want = ag._compose_int_taylor(fc, gc, R)
+                assert _coeffs(f.compose(g)) == want, (p, n, d)
+    # the split ran, on schoolbook-checked pairs among others
+    assert sum(r is not None for r in results) > 20
+
+
+def test_compose_split_declines_unfiltered_maps(monkeypatch):
+    """Unfiltered automorphisms of 60 to 300 terms have no short low part:
+    the split declines them at once instead of recursing on f itself."""
+    results = _split_results(monkeypatch, 32)
+    rng = random.Random(441)
+    for p, n in ((2, 16), (3, 10), (5, 8), (7, 6)):
+        R = IntModRing(p ** n, q=p)
+        for length in (60, 130, 300):
+            f = sample_automorphism(R, length - 1, rng)
+            g = sample_automorphism(R, rng.randrange(2, 6), rng)
+            assert _coeffs(f.compose(g)) == compose_naive(_coeffs(f), _coeffs(g), R.m)
+    assert results and all(r is None for r in results)
+
+
+def test_compose_split_without_q_and_never_over_composite_moduli(monkeypatch):
+    """Z/p^n built without q splits as Z/p^n with q does; a composite m has
+    no p and never splits."""
+    results = _split_results(monkeypatch, 16)
+    rng = random.Random(442)
+    for p, n, d in ((2, 9, 1), (3, 8, 2), (5, 7, 4)):
+        Rq, R = IntModRing(p ** n, q=p), IntModRing(p ** n)
+        f, g = sample_filtered(Rq, d, rng), sample_filtered(Rq, d, rng)
+        got = P(R, _coeffs(f)).compose(P(R, _coeffs(g)))
+        without_q = results[:]
+        results.clear()
+        assert _coeffs(got) == _coeffs(f.compose(g)) == compose_naive(_coeffs(f), _coeffs(g), R.m)
+        assert results == without_q and results[-1] == _coeffs(got)
+        results.clear()
+    R = IntModRing(2 ** 7 * 3 ** 5)
+    for length in (130, 300):
+        fc = [rng.randrange(R.m) * 6 ** rng.randrange(8) % R.m for _ in range(length)]
+        fc[-1] = fc[-1] or 1
+        gc = [rng.randrange(R.m), R.rand_unit(rng)] + [6 * rng.randrange(R.m) % R.m for _ in range(3)]
+        got = P(R, fc).compose(P(R, gc))
+        assert _coeffs(got) == compose_naive(fc, _trim(gc), R.m)
+    assert not results
+
+
+def test_compose_split_at_the_top_level_and_with_no_high_part_of_g(monkeypatch):
+    """Over Z/65521^4 no level below n - 1 gives F 4-byte slots, so
+    kf = n - 1 and F runs mod p.  An inner map below p^ceil(n/2), as
+    inversion lifts it, has G = 0: only f splits."""
+    from affaut.autgroup import _compose_int_split
+
+    rng = random.Random(443)
+    p, n = 65521, 4
+    R = IntModRing(p ** n, q=p)
+    fc = [rng.randrange(R.m) for _ in range(2)]
+    fc += [p ** (1 if j < 40 else 3) * rng.randrange(R.m) % R.m for j in range(2, 130)]
+    fc[-1] = fc[-1] or p ** 3
+    gc = [rng.randrange(R.m), R.rand_unit(rng)] + [p * rng.randrange(R.m) % R.m for _ in range(4)]
+    gc[-1] = gc[-1] or p
+    assert _compose_int_split(fc, gc, R) == compose_naive(fc, gc, R.m)
+    R = IntModRing(3 ** 8, q=3)
+    for _ in range(3):
+        f = sample_filtered(R, 4, rng)
+        phi = lift_precision(reduce_precision(sample_filtered(R, 4, rng), 4), 8)
+        assert all(c < 3 ** 4 for c in _coeffs(phi))
+        want = compose_naive(_coeffs(f), _coeffs(phi), R.m)
+        assert _compose_int_split(_coeffs(f), _coeffs(phi), R) == want
+        assert _coeffs(f.compose(phi)) == want
+
+
+def test_compose_splits_a_long_filtered_pair(monkeypatch):
+    """At (p, n, d) = (3, 10, 4) both maps run to 1025 terms: the split
+    takes the composition once, and it meets the unsplit expansion."""
+    import affaut.autgroup as ag
+
+    results = _split_results(monkeypatch)
+    R = IntModRing(3 ** 10, q=3)
+    rng = random.Random(444)
+    f, g = sample_filtered(R, 4, rng), sample_filtered(R, 4, rng)
+    h = f.compose(g)
+    # the compositions inside it have short inner maps and no slot to
+    # narrow: they decline
+    assert results[-1] == _coeffs(h) and not any(results[:-1])
+    assert _coeffs(h) == ag._compose_int_taylor(_coeffs(f), _coeffs(g), R)
+
+
+def test_split_agrees_with_the_unsplit_routes_on_1000_cases(monkeypatch):
+    """compose, invert, oracle_invert and ad, 250 cases each, with the
+    split on from 16 terms and off (the routes before it)."""
+    import affaut.autgroup as ag
+    from affaut.adjoint import ad
+    from affaut.inversion import invert, oracle_invert
+
+    rng = random.Random(445)
+    shapes = [(2, 7, 4), (2, 8, 2), (3, 7, 4), (3, 8, 2), (5, 7, 4), (7, 7, 4), (3, 8, 4)]
+    cases = []
+    for i in range(1000):
+        p, n, d = shapes[i % len(shapes)]
+        R = IntModRing(p ** n, q=p)
+        f, g = sample_filtered(R, d, rng), sample_filtered(R, d, rng)
+        if i % 4 == 3:  # ad needs a kernel element at a level r with 2r >= n
+            g = sample_kernel_element(R, (n + 1) // 2, rng.randrange(1, 9), rng)
+        cases.append((i % 4, f, g, (n + 1) // 2))
+    ops = (
+        lambda f, g, r: f.compose(g),
+        lambda f, g, r: invert(f),
+        lambda f, g, r: oracle_invert(f),
+        lambda f, g, r: ad(f, g, r),
+    )
+    monkeypatch.setattr(ag, "_SPLIT_LEN", 16)
+    split = [ops[k](f, g, r) for k, f, g, r in cases]
+    monkeypatch.setattr(ag, "_SPLIT_LEN", 10 ** 9)
+    assert [ops[k](f, g, r) for k, f, g, r in cases] == split
+
+
 def test_bsgs_compose_series_every_length_matches_schoolbook():
     rng = random.Random(437)
     rings = [(p, e) for p in SERIES_PRIMES for e in range(1, 8)]

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from affaut import greenberg as gb
 from affaut import witt as wt
 from affaut.autgroup import TruncPoly, compose, iterate, member, order, SubgroupSpec
@@ -189,6 +191,25 @@ def test_witt_iso_prints_residues_past_the_int_digit_limit(tmp_path):
         ctx.prec = 7000
         assert got["modulus"] == str(decimal.Decimal(2) ** 20001)
     assert got["residue"] == "5"
+
+
+@pytest.mark.parametrize("p, level", [(3, 10000), (7, 3000)])
+def test_witt_iso_lifts_large_levels_by_newton(tmp_path, p, level):
+    """Each digit's Teichmueller lift comes from Newton's method on
+    x^(p-1) = 1, not from a power whose exponent has level * log2(p) bits,
+    so both directions end within 2 s in a fresh process and the round
+    trip gives back the residue."""
+    vec = tmp_path / "u.json"
+    t0 = time.perf_counter()
+    out = fresh("witt-iso", "--value", "5", "--p", str(p), "--level", str(level),
+                "--out", str(vec), timeout=10)
+    t1 = time.perf_counter()
+    assert out.returncode == 0, out.stderr
+    assert t1 - t0 < 2
+    out = fresh("witt-iso", "--u", str(vec), timeout=10)
+    assert time.perf_counter() - t1 < 2
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["residue"] == "5"
 
 
 def test_witt_add_and_mul_refuse_large_lifts_at_once(tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -596,6 +597,20 @@ def test_corrupted_law_reports_frozen(build, exhaustive, sampled):
     assert verify_group_axioms(bad, "exhaustive").to_json() == exhaustive
     rep = verify_group_axioms(bad, "sampled", rng=random.Random(7), samples=200)
     assert rep.to_json() == sampled
+
+
+def test_sampled_failure_stops_drawing_triples():
+    """The sampled mode draws each triple as it checks it, in the order a
+    list of all of them had, so a failure at the fifth triple returns at
+    once with the report of a run of 400 samples, which draw the same 400
+    identity points, however many triples were asked for."""
+    bad = FROZEN_REPORTS[0][0]()
+    small = verify_group_axioms(bad, "sampled", rng=random.Random(7), samples=400)
+    assert not small.associativity_ok and small.triples_checked < 10
+    t0 = time.perf_counter()
+    rep = verify_group_axioms(bad, "sampled", rng=random.Random(7), samples=200000)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.to_json() == small.to_json()
 
 
 # shape (p, d) and capped (p, precision, degree_cap) laws

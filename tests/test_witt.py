@@ -546,3 +546,12 @@ def test_golden_laws():
         want = json.loads(path.read_text())
         got = json.loads(json.dumps(derive_witt_laws(p, n).to_json()))
         assert got == want, f"law for p={p}, n={n} drifted from the golden file"
+
+
+def test_teichmuller_lift_is_the_frobenius_limit():
+    """Newton's root of x^(p-1) = 1 mod p^k congruent to c is the power
+    c^(p^(k-1)) mod p^k that the lift used to be."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 12):
+            for c in range(p):
+                assert wt._teichmuller(c, p, k) == pow(c, p ** (k - 1), p ** k)
