@@ -11,20 +11,23 @@ the linear term:
 
     f . (T + q^r h) . finv  =  T + q^r * h(finv(T)) * f'(finv(T)).
 
-``ad`` computes the conjugate along both the definition and the closed
-form and insists they agree.  ``ad_matrix`` tabulates the induced linear
-action on a basis of monomial corrections, either with coefficients
-reduced mod q (the graded action, well defined for every r >= 1) or with
-full mod q^(n-r) entries on the shape-constrained basis.  Matrices can
-be computed over an actual finite ring or over a generic coefficient
-ring Z[a, b, c, d, e, 1/b][q], and generic matrices specialize to
-numeric ones entrywise.  ``module_decomposition`` recovers the abelian
-group structure of the congruence subgroup as a direct sum of cyclic
-pieces R/q^k by computing each basis slot's annihilator directly.
+``ad`` evaluates the closed form at the residue precision q^(n-r), where
+h and finv are needed, and checks its lift c by the defining equation
+c . f = f . g at full precision, computed by composition alone.
+``ad_matrix`` tabulates the induced linear action on a basis of monomial
+corrections, either with coefficients reduced mod q (the graded action,
+well defined for every r >= 1) or with full mod q^(n-r) entries on the
+shape-constrained basis.  Matrices can be computed over an actual
+finite ring or over a generic coefficient ring Z[a, b, c, d, e, 1/b][q],
+and generic matrices specialize to numeric ones entrywise.
+``module_decomposition`` recovers the abelian group structure of the
+congruence subgroup as a direct sum of cyclic pieces R/q^k by computing
+each basis slot's annihilator directly.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .autgroup import (
@@ -32,7 +35,9 @@ from .autgroup import (
     TruncPoly,
     _kernel_h,
     _kernel_poly,
+    _transport,
     identity_map,
+    reduce_precision,
 )
 from .errors import (
     AlgebraError,
@@ -104,8 +109,9 @@ def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
     """The conjugate f . g . finv of a level-r congruence element g.
 
     Requires 2r >= n so the congruence subgroup is abelian and the
-    closed form applies.  The composition route and the closed form are
-    both evaluated and must agree exactly.
+    closed form applies.  It needs h and finv only mod q^(n-r) and is
+    evaluated there; its lift c must satisfy the defining equation
+    c . f = f . g, checked at full precision by composition alone.
     """
     if f.ring != g.ring:
         raise RingMismatch(f"{f.ring} vs {g.ring}")
@@ -116,19 +122,22 @@ def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
             f"level {r} at precision {n}: conjugation is only a module "
             "map once 2r >= n"
         )
+    if not f.is_automorphism():
+        raise NotAnAutomorphism(repr(f))
     ring = f.ring
-    finv = invert(f)
-    direct = f.compose(g).compose(finv)
-    # any lift of h to the full ring will do: q^r wipes out the rest
-    hf = TruncPoly._raw(ring, _kernel_h(g, r, ring)).compose(finv)
-    hf_df = hf * f.derivative().compose(finv)
-    closed = _kernel_poly(ring, ring.q_power(r), hf_df.raw_coeffs())
-    if direct != closed:
+    # any lift of k to the full ring will do: q^r wipes out the rest, and
+    # all of it at r = n, where R/q stands in for the zero ring R/q^0
+    low = ring.at_precision(max(n - r, 1))
+    f_low = reduce_precision(f, low.truncation)
+    h = TruncPoly._raw(low, _kernel_h(g, r, low))
+    k = (h * f_low.derivative()).compose(invert(f_low))
+    closed = _kernel_poly(ring, ring.q_power(r), _transport(k.raw_coeffs(), low, ring))
+    if closed.compose(f) != f.compose(g):
         raise AlgebraError(
-            "conjugation routes disagree; the abelian-range closed "
-            "form failed where its precondition held"
+            "the abelian-range closed form fails c . f = f . g where its "
+            "precondition held"
         )
-    return direct
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +392,12 @@ class ModuleDecomposition(NamedTuple):
         }
 
     def render_text(self) -> str:
-        if not self.summands:
-            body = "0"
-        else:
-            parts = []
-            run = None
-            count = 0
-            for k in list(self.summands) + [None]:
-                if k == run:
-                    count += 1
-                    continue
-                if run is not None:
-                    piece = f"R/q^{run}" if run > 1 else "R/q"
-                    parts.append(piece if count == 1 else f"{piece} ^ {count}")
-                run, count = k, 1
-            body = " (+) ".join(parts)
+        parts = []
+        for k, run in itertools.groupby(self.summands):
+            piece = f"R/q^{k}" if k > 1 else "R/q"
+            count = len(list(run))
+            parts.append(piece if count == 1 else f"{piece} ^ {count}")
+        body = " (+) ".join(parts) or "0"
         tag = "" if self.agrees else "   [differs from the closed form]"
         return (
             f"level {self.r} congruence subgroup at precision {self.n}: "
@@ -433,8 +433,10 @@ def module_decomposition(ring: Ring, r: Optional[int] = None) -> ModuleDecomposi
         weights.append(w)
         expected.append(n - w)
         basis = kernel_element(ring, w, [ring.zero()] * j + [ring.one()])
+        check_kernel_element(basis, r)  # once, where scalar_mul would per step
+        correction = (basis - ident).raw_coeffs()
         k = 0
-        while scalar_mul(ring.q_power(k), basis, r) != ident:
+        while _kernel_poly(ring, ring.q_power(k), correction) != ident:
             k += 1
             if k > n:
                 raise AlgebraError("annihilator search left the q-adic range")

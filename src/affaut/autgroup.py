@@ -686,23 +686,19 @@ def compose(f: TruncPoly, g: TruncPoly) -> TruncPoly:
 # precision transport
 
 
-def _transport_payload(a, src: Ring, dst: Ring):
-    if isinstance(src, IntModRing) and isinstance(dst, IntModRing):
-        return a % dst.m
-    if isinstance(src, TruncSeriesRing) and isinstance(dst, TruncSeriesRing):
-        z = dst._szero()
-        cut = list(a[: dst.e])
-        return tuple(cut) + (z,) * (dst.e - len(cut))
-    if isinstance(src, SymbolicRing) and isinstance(dst, SymbolicRing):
-        return dst._norm(dict(a.terms), a.bk)
-    raise RingMismatch(f"cannot transport between {src} and {dst}")
-
-
 def _transport(cs: Sequence, src: Ring, dst: Ring) -> list:
+    """Carry payloads along the canonical map between two precisions of
+    the same ring: reduction, or lifting by canonical representatives."""
     if isinstance(src, IntModRing) and isinstance(dst, IntModRing):
         m = dst.m
         return [a % m for a in cs]
-    return [_transport_payload(a, src, dst) for a in cs]
+    if isinstance(src, TruncSeriesRing) and isinstance(dst, TruncSeriesRing):
+        e = dst.e
+        pad = (dst._szero(),) * (e - src.e)
+        return [a[:e] + pad for a in cs]
+    if isinstance(src, SymbolicRing) and isinstance(dst, SymbolicRing):
+        return [dst._norm(dict(a.terms), a.bk) for a in cs]
+    raise RingMismatch(f"cannot transport between {src} and {dst}")
 
 
 def reduce_precision(f: TruncPoly, m: int) -> TruncPoly:

@@ -5,8 +5,9 @@ precision recursively: an inverse modulo q^ceil(n/2) lifts to a candidate
 whose defect is congruent to the identity to at least half precision, and
 such near-identity maps invert by negation.  ``oracle_invert`` instead
 climbs one q-power at a time from the affine inverse, correcting with the
-linearization of the defect.  The two share no logic beyond composition
-itself and are cross-checked in the tests.
+linearization of the defect, which round k needs only mod q^(k+1).  The
+two share no logic beyond composition and precision transport, and are
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Tuple
 
 from .autgroup import (
     TruncPoly,
-    _transport_payload,
+    _transport,
     identity_map,
     lift_precision,
     reduce_precision,
@@ -26,13 +27,12 @@ from .errors import (
     NotAnAutomorphism,
     PreconditionFailed,
 )
-from .rings import Ring
 
 
 def _affine_inverse(f: TruncPoly) -> TruncPoly:
+    # an automorphism has at least the coefficients a0 and a1
     ring = f.ring
-    a0 = f.raw_coeffs()[0] if len(f.raw_coeffs()) > 0 else ring.zero()
-    a1 = f.raw_coeffs()[1]
+    a0, a1 = f.raw_coeffs()[:2]
     a1i = ring.inv(a1)
     return TruncPoly._raw(ring, [ring.neg(ring.mul(a1i, a0)), a1i])
 
@@ -93,21 +93,16 @@ def lift_aut(f: TruncPoly, n: int) -> TruncPoly:
     return lift_precision(f, n)
 
 
-def _mod_q_payload(ring: Ring, a):
-    """The canonical representative of a mod q, as a payload of ring."""
-    r1 = ring.at_precision(1)
-    return _transport_payload(_transport_payload(a, ring, r1), r1, ring)
-
-
 def oracle_invert(f: TruncPoly) -> TruncPoly:
     """Inverse by plain q-adic lifting, for cross-checking invert.
 
     Start from the affine inverse (exact mod q since higher coefficients
     are nilpotent) and repair one q-power per round: the defect
     T - f(g) has valuation >= k, and dividing it by q^k and by the
-    linear coefficient gives the next digit of g.  The digit is reduced
-    mod q before being re-scaled, which keeps the candidate's degree at
-    the group's own bound throughout."""
+    linear coefficient gives the next digit of g.  Round k needs the
+    defect only mod q^(k+1) and computes the digit in R/q, which keeps
+    the candidate's degree at the group's own bound; a defect that
+    vanishes there adds no digit.  f(g) = T is checked at the end."""
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
     ring = f.ring
@@ -118,23 +113,23 @@ def oracle_invert(f: TruncPoly) -> TruncPoly:
         raise PreconditionFailed(
             "non-affine inversion needs a q-adically truncated ring"
         )
-    ident = identity_map(ring)
-    a1i = ring.inv(f.raw_coeffs()[1])
+    residue = ring.at_precision(1)
+    a1i = residue.inv(_transport(f.raw_coeffs()[1:2], ring, residue)[0])
     g = _affine_inverse(f)
     for k in range(1, n):
-        err = ident - f.compose(g)
-        if err.is_zero():
-            break
-        digit = []
+        low = ring.at_precision(k + 1)
+        err = identity_map(low) - reduce_precision(f, k + 1).compose(
+            reduce_precision(g, k + 1)
+        )
         for c in err.raw_coeffs():
-            if ring.q_val(c) < k:
+            if low.q_val(c) < k:
                 raise NoSolution(
-                    f"defect has valuation {ring.q_val(c)} < {k}; "
+                    f"defect has valuation {low.q_val(c)} < {k}; "
                     "the claimed automorphism cannot be inverted"
                 )
-            s = ring.mul(ring.exact_div_q(c, k), a1i)
-            digit.append(ring.mul(ring.q_power(k), _mod_q_payload(ring, s)))
-        g = g + TruncPoly._raw(ring, digit)
-    if f.compose(g) != ident:
+        hs = _transport([low.exact_div_q(c, k) for c in err.raw_coeffs()], low, residue)
+        digit = _transport([residue.mul(h, a1i) for h in hs], residue, ring)
+        g = g + TruncPoly._raw(ring, digit).scale(ring.q_power(k))
+    if f.compose(g) != identity_map(ring):
         raise NoSolution("lifting stalled before full precision")
     return g

@@ -42,6 +42,9 @@ INFINITE_VAL = math.inf
 
 
 def _as_int(s) -> int:
+    # bool is a subclass of int: a JSON true must not read as 1
+    if isinstance(s, bool):
+        raise PreconditionFailed(f"expected an integer, got the boolean {s!r}")
     if isinstance(s, int):
         return s
     return int(str(s), 10)
@@ -328,8 +331,6 @@ class RingElem:
         return RingElem(self.ring, self.ring.neg(self.value))
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise PreconditionFailed("negative powers go through inv()")
         return RingElem(self.ring, _pow_payload(self.ring, self.value, k))
 
     def inv(self) -> "RingElem":
@@ -1213,7 +1214,10 @@ class SymbolicRing(Ring):
         for t in j.get("terms", []):
             e = list(self._zero_exp)
             for g, k in t.get("exponents", {}).items():
-                e[self.gidx[g]] = int(k)
+                k = _as_int(k)
+                if k < 0:
+                    raise PreconditionFailed(f"negative exponent {k} of {g}")
+                e[self.gidx[g]] = k
             terms[tuple(e)] = terms.get(tuple(e), 0) + _as_int(t["coeff"])
         return self._norm(terms, int(j.get("b_denominator", 0)))
 
@@ -1244,6 +1248,8 @@ class SymbolicRing(Ring):
 
 def _pow_payload(ring: Ring, v, k: int):
     """v^k for k >= 0 by binary powering; the last square is skipped."""
+    if k < 0:
+        raise PreconditionFailed(f"negative power {k}; inverses go through inv()")
     out = ring.one()
     while k:
         if k & 1:

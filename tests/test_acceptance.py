@@ -317,8 +317,9 @@ def test_criterion_07_coordinate_count_report():
 
 def test_criterion_08_conjugation_linearity_and_closed_form():
     """ad(f, c*g) == c*ad(f, g) at every strictly-abelian level, 1000
-    samples per (p, n); each ad call cross-checks the closed form against
-    direct conjugation internally and raises on any mismatch."""
+    samples per (p, n); each ad call checks its closed form c by the
+    defining equation c . f = f . g internally and raises on any
+    mismatch."""
 
     def body():
         rng = random.Random(808)
@@ -337,7 +338,7 @@ def test_criterion_08_conjugation_linearity_and_closed_form():
                         rhs = scalar_mul(c, ad(f, g, r), r)
                         assert lhs == rhs
                         tested += 1
-        return f"{tested} conjugations linear in the correction, both routes agreeing"
+        return f"{tested} conjugations linear in the correction, each closed form satisfying c.f = f.g"
 
     _gate(8, 30.0, body)
 

@@ -28,18 +28,22 @@ from affaut.autgroup import (
     compose,
     identity_map,
     sample_automorphism,
+    sample_filtered,
     sample_kernel_element,
 )
 from affaut.errors import (
+    AlgebraError,
     KernelMismatch,
     NotAbelian,
     NotAnAutomorphism,
     PreconditionFailed,
     RingMismatch,
 )
+from affaut.inversion import invert, oracle_invert
 from affaut.rings import (
     IntegerRing,
     IntModRing,
+    TruncSeriesRing,
     parse_ring_flag,
     universal_coefficient_ring,
 )
@@ -115,9 +119,9 @@ def test_ad_by_identity_fixes_everything():
 
 
 def test_ad_routes_agree_randomized():
-    """ad always evaluates both the composition route and the closed
-    form and raises if they split; running it over a spread of rings is
-    the dual-route check."""
+    """ad always checks its closed form c by the defining equation
+    c . f = f . g and raises if it fails; running it over a spread of
+    rings is that check at work."""
     rng = random.Random(5512)
     count = 0
     for p in (2, 3, 5):
@@ -131,6 +135,74 @@ def test_ad_routes_agree_randomized():
                     assert out.identity_congruence() >= r
                     count += 1
     assert count >= 150
+
+
+def test_ad_at_full_level_is_the_identity():
+    """At r = n the kernel is {T} and no residue ring is left: ad returns
+    T without building a precision-0 ring, and still refuses a conjugator
+    that is not an automorphism."""
+    rng = random.Random(1601)
+    for ring in (IntModRing(3 ** 4, q=3), TruncSeriesRing("fp", 3, p=2)):
+        n = ring.truncation
+        ident = identity_map(ring)
+        for _ in range(5):
+            f = sample_automorphism(ring, n, rng)
+            assert ad(f, ident, n) == ident
+    ring = IntModRing(9, q=3)
+    with pytest.raises(NotAnAutomorphism):
+        ad(TruncPoly(ring, [0, 3]), identity_map(ring), 2)
+
+
+def test_ad_over_the_generic_ring_matches_direct_conjugation():
+    f = universal_element(4, 3)
+    ring = f.ring
+    finv = invert(f)
+    for r, h in ((2, "ac"), (2, "be"), (3, "db"), (4, "e")):
+        g = kernel_element(ring, r, [ring.gen(x) for x in h])
+        assert ad(f, g, r) == f.compose(g).compose(finv)
+
+
+def _corrupted_closed_form(kernel_poly, j):
+    """_kernel_poly with q^(n-1) T^j added to its result: since f is an
+    automorphism, (c + q^(n-1) T^j) . f differs from c . f mod q^n."""
+
+    def closed_form(ring, gen, hs):
+        delta = [ring.zero()] * j + [ring.q_power(ring.truncation - 1)]
+        return kernel_poly(ring, gen, hs) + TruncPoly._raw(ring, delta)
+
+    return closed_form
+
+
+def test_ad_and_oracle_invert_differential_1000_cases(monkeypatch):
+    """On 1000 seeded cases over Z/p^n (p in 2, 3, 5, 7) and F_p[t]/(t^e),
+    with r from ceil(n/2) to n: ad equals f . g . invert(f) composed
+    here, oracle_invert equals invert, and ad with its closed form
+    corrupted still raises AlgebraError."""
+    import affaut.adjoint as adjoint
+
+    rng = random.Random(1616)
+    rings = [IntModRing(p ** n, q=p) for p in (2, 3, 5, 7) for n in range(2, 8)]
+    rings += [TruncSeriesRing("fp", e, p=p) for p in (2, 3, 5) for e in range(2, 7)]
+    cases = []
+    for i in range(1000):
+        ring = rings[i % len(rings)]
+        n = ring.truncation
+        r = rng.randrange((n + 1) // 2, n + 1)
+        if i % 2:
+            f = sample_filtered(ring, rng.choice((1, 2, 4)), rng)
+        else:
+            f = sample_automorphism(ring, rng.randrange(1, n + 2), rng)
+        g = sample_kernel_element(ring, r, rng.randrange(0, n + 2), rng)
+        cases.append((f, g, r, rng.randrange(n + 1)))
+    for f, g, r, _ in cases:
+        finv = invert(f)
+        assert ad(f, g, r) == f.compose(g).compose(finv)
+        assert oracle_invert(f) == finv
+    kernel_poly = adjoint._kernel_poly
+    for f, g, r, j in cases:
+        monkeypatch.setattr(adjoint, "_kernel_poly", _corrupted_closed_form(kernel_poly, j))
+        with pytest.raises(AlgebraError, match="closed form"):
+            ad(f, g, r)
 
 
 def test_ad_is_linear_in_the_correction():

@@ -307,6 +307,29 @@ def test_greenberg_law_at_large_shapes_finishes():
         assert json.loads(out.stdout)["law"]["descriptor"]["d"] == int(d)
 
 
+def test_greenberg_refuses_a_negative_exponent_at_once(tmp_path):
+    """A negative exponent once spun binary powering forever; in a fresh
+    process, so a hang ends at the timeout."""
+    poly = tmp_path / "neg.json"
+    poly.write_text(json.dumps(
+        {"variables": ["x"], "terms": [{"coeff": "1", "exponents": {"x": -3}}]}
+    ))
+    out = fresh("greenberg", "--p", "2", "--level", "1", "--poly", str(poly), timeout=10)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "negative exponent -3 of x" in out.stderr
+
+
+def test_json_booleans_are_usage_errors(tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps({"coeffs": ["1", True]}))
+    gp = write_poly(tmp_path, "g.json", [0, 1])
+    code, out, err = run(
+        capsys, "compose", "--ring", "zmod:27:q=3", "--f", str(fp), "--g", gp
+    )
+    assert code == 2 and out == ""
+    assert "boolean" in err
+
+
 def test_verify_law_cli(tmp_path, capsys):
     law_file = tmp_path / "law.json"
     code, _, _ = run(

@@ -57,6 +57,19 @@ def test_oracle_translation():
         assert [c.value for c in g.coeffs] == [p ** 3 - 1, 1]
 
 
+def test_oracle_skips_a_digit_the_defect_lacks():
+    """T + q^2 T^2 agrees with T mod q^2, so round 1 finds the defect zero
+    mod q^2 and adds no digit; the lifting must go on to the digits the
+    defect still has mod q^n rather than stop there."""
+    for p in (2, 3):
+        R = IntModRing(p ** 4, q=p)
+        f = P(R, [0, 1, p * p])
+        assert oracle_invert(f) == invert(f) == P(R, [0, 1, -p * p, 0, 0])
+    R = TruncSeriesRing("fp", 4, p=3)
+    f = P(R, [(0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 1)])
+    assert oracle_invert(f) == invert(f)
+
+
 def test_invert_rejects_non_automorphism():
     R = IntModRing(9, q=3)
     with pytest.raises(NotAnAutomorphism):

@@ -442,3 +442,32 @@ def test_one_power_helper_for_every_ring():
             assert _pow_payload(ring, v, k) == acc
             assert (ring.elem(v) ** k).value == acc
             acc = ring.mul(acc, v)
+
+
+def test_json_booleans_are_not_integers():
+    """bool is a subclass of int, so true and false must be refused by
+    name rather than read as 1 and 0."""
+    S = universal_coefficient_ring(trunc=3)
+    readers = [
+        IntegerRing(q=3).payload_from_json,
+        IntModRing(27, q=3).payload_from_json,
+        lambda j: TruncSeriesRing("fp", 2, p=3).payload_from_json([j, "1"]),
+        lambda j: S.payload_from_json({"terms": [{"coeff": j}]}),
+        lambda j: S.payload_from_json({"terms": [{"coeff": "1", "exponents": {"a": j}}]}),
+        lambda j: ring_from_descriptor({"kind": "zmod", "m": j}),
+    ]
+    for read in readers:
+        for j in (True, False):
+            with pytest.raises(PreconditionFailed, match="boolean"):
+                read(j)
+
+
+def test_negative_exponents_are_refused():
+    S = universal_coefficient_ring(trunc=3)
+    with pytest.raises(PreconditionFailed, match="negative exponent"):
+        S.payload_from_json({"terms": [{"coeff": "1", "exponents": {"a": -3}}]})
+    for ring, v in ((IntModRing(81, q=3), 5), (S, S.gen("b"))):
+        with pytest.raises(PreconditionFailed, match="negative power"):
+            _pow_payload(ring, v, -1)
+        with pytest.raises(PreconditionFailed, match="negative power"):
+            ring.elem(v) ** -2
