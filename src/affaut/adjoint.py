@@ -49,7 +49,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .inversion import invert
-from .rings import Ring, SymbolicRing, universal_coefficient_ring
+from .rings import (
+    Ring, SymbolicRing, _as, _field, ring_from_descriptor, universal_coefficient_ring,
+)
 
 
 def _require_truncated(ring: Ring) -> int:
@@ -204,15 +206,14 @@ class AdjointMatrix(NamedTuple):
 
     @classmethod
     def from_json(cls, j: dict) -> "AdjointMatrix":
-        from .rings import ring_from_descriptor
-
-        ring = ring_from_descriptor(j["ring"])
+        ring = ring_from_descriptor(_field(j, "ring", "matrix"))
         rows = tuple(
-            tuple(ring.payload_from_json(e) for e in row) for row in j["rows"]
+            tuple(ring.payload_from_json(e, "rows") for e in _as(row, list, "row"))
+            for row in _field(j, "rows", "matrix", list)
         )
         return cls(
-            SubgroupSpec.parse(j["subgroup"]),
-            j["mode"],
+            SubgroupSpec.parse(_field(j, "subgroup", "matrix")),
+            _field(j, "mode", "matrix", str),
             ring,
             rows,
             bool(j.get("warning")),

@@ -75,7 +75,10 @@ from .rings import (
     RingElem,
     SymbolicRing,
     TruncSeriesRing,
+    _as,
+    _as_int,
     _factorize,
+    _field,
 )
 
 # ---------------------------------------------------------------------------
@@ -666,12 +669,8 @@ class TruncPoly:
 
     @classmethod
     def from_json(cls, ring: Ring, j: dict) -> "TruncPoly":
-        coeffs = j["coeffs"]
-        if not isinstance(coeffs, list):
-            raise PreconditionFailed(
-                f"coeffs must be a list, got {type(coeffs).__name__}"
-            )
-        return cls(ring, [ring.payload_from_json(c) for c in coeffs])
+        coeffs = _field(j, "coeffs", "polynomial", list)
+        return cls(ring, [ring.payload_from_json(c, "coeffs") for c in coeffs])
 
 
 def identity_map(ring: Ring) -> TruncPoly:
@@ -905,15 +904,15 @@ class SubgroupSpec(NamedTuple):
 
     @classmethod
     def parse(cls, s: str) -> "SubgroupSpec":
-        s = s.strip().lower()
+        s = _as(s, str, "subgroup").strip().lower()
         if s == "full":
             return cls("full")
         head, _, tail = s.partition(":")
         if head in ("a", "atilde"):
-            return cls(head, d=int(tail))
+            return cls(head, d=_as_int(tail, "subgroup d"))
         if head in ("n", "k"):
             n_s, _, r_s = tail.partition(",")
-            return cls(head, n=int(n_s), r=int(r_s))
+            return cls(head, n=_as_int(n_s, "subgroup n"), r=_as_int(r_s, "subgroup r"))
         raise PreconditionFailed(f"unknown subgroup spec {s!r}")
 
     def show(self) -> str:

@@ -5,6 +5,8 @@ on stderr.  Exit status: 0 on success, 1 when the library rejects the
 inputs (the error class name is printed) or a requested verification
 fails, 2 on usage errors.  Randomized verbs take their entropy from a
 mandatory --seed, so identical invocations produce identical bytes.
+Input files and integer flags are read strictly (integers as JSON ints or
+decimal strings, extra keys ignored); a malformed one is a usage error.
 """
 
 from __future__ import annotations
@@ -48,59 +50,69 @@ class UsageError(Exception):
     """Bad flags or unreadable inputs; exits with status 2."""
 
 
-def _prime(s: str) -> int:
-    """argparse type for --p: a prime, or a usage error."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's usage errors take the same path
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _flag_type(read, least: Optional[int] = None):
+    """argparse type: an integer by the rule of the JSON readers, then read."""
+    def parse(s: str):
+        try:
+            return read(rings._as_int(s, "the value", least))
+        except PreconditionFailed as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return parse
+
+
+_integer = _flag_type(int)
+_natural = _flag_type(int, least=0)
+# --samples and --cap: a verdict needs one check, an order search one step
+_positive = _flag_type(int, least=1)
+_prime = _flag_type(rings._require_prime)
+
+
+def _read(source: str, reader, *args):
+    """reader(*args); its PreconditionFailed becomes a UsageError."""
     try:
-        return rings._require_prime(int(s))
-    except (AlgebraError, ValueError) as e:
-        raise argparse.ArgumentTypeError(str(e))
+        return reader(*args)
+    except PreconditionFailed as e:
+        raise UsageError(f"{source}: {e}")
 
 
-def _positive(s: str) -> int:
-    """argparse type for --samples and --cap: a verdict needs at least one
-    check, and an order search at least one step."""
-    try:
-        k = int(s)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    return k
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise UsageError(f"{path} does not hold JSON: {e}")
 
 
 def _ring(args):
-    try:
-        return rings.parse_ring_flag(args.ring)
-    except (PreconditionFailed, ValueError) as e:
-        raise UsageError(f"--ring {args.ring}: {e}")
+    return _read(f"--ring {args.ring}", rings.parse_ring_flag, args.ring)
 
 
 def _poly(ring, path: str) -> ag.TruncPoly:
-    j = _load_json(path)
-    if not isinstance(j, dict) or "coeffs" not in j:
-        raise UsageError(f"{path}: expected an object with a coeffs array")
-    try:
-        return ag.TruncPoly.from_json(ring, j)
-    except (AlgebraError, KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"{path}: {e}")
+    return _read(path, ag.TruncPoly.from_json, ring, _load_json(path))
 
 
 def _witt_vec(path: str) -> wt.WittVec:
-    j = _load_json(path)
-    try:
-        return wt.WittVec.from_json(j)
-    except (AlgebraError, KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"{path}: {e}")
+    return _read(path, wt.WittVec.from_json, _load_json(path))
+
+
+def _integer_poly(j) -> rings.RingElem:
+    """The input of greenberg: {"variables": [...], "terms": [...]}."""
+    src = rings.SymbolicRing(rings._field(j, "variables", "polynomial", list))
+    return rings.RingElem(src, src.payload_from_json(j, "polynomial"))
+
+
+def _stored_law(j) -> tuple:
+    """A stored law, bare or in greenberg-law output, and its fresh build."""
+    stored = rings._field(j, "law", "law file", None, j)
+    return stored, gb._build_law(rings._field(stored, "descriptor", "law"))
 
 
 def _poly_payload(f: ag.TruncPoly) -> dict:
@@ -156,10 +168,7 @@ def _do_order(args):
 
 def _do_member(args):
     ring = _ring(args)
-    try:
-        spec = ag.SubgroupSpec.parse(args.subgroup)
-    except (AlgebraError, ValueError) as e:
-        raise UsageError(str(e))
+    spec = _read(f"--subgroup {args.subgroup}", ag.SubgroupSpec.parse, args.subgroup)
     ok = ag.member(_poly(ring, args.f), spec)
     return (
         {"member": ok, "subgroup": spec.show()},
@@ -170,8 +179,6 @@ def _do_member(args):
 
 def _do_iterate(args):
     ring = _ring(args)
-    if args.times < 0:
-        raise UsageError("--times must be nonnegative")
     h = ag.iterate(_poly(ring, args.f), args.times)
     return _poly_payload(h), repr(h), 0
 
@@ -233,11 +240,7 @@ def _do_witt_iso(args):
     if args.value is not None:
         if args.p is None or args.level is None:
             raise UsageError("--value needs --p and --level")
-        try:
-            x = int(args.value)
-        except ValueError:
-            raise UsageError(f"--value must be an integer, got {args.value!r}")
-        v = wt.residue_to_witt(x, args.p, args.level)
+        v = wt.residue_to_witt(args.value, args.p, args.level)
         return v.to_json(), _witt_text(v), 0
     u = _witt_vec(args.u)
     x = wt.witt_to_residue(u)
@@ -251,33 +254,13 @@ def _do_witt_iso(args):
 
 
 def _do_greenberg(args):
-    j = _load_json(args.poly)
-    try:
-        variables = tuple(j["variables"])
-        src = rings.SymbolicRing(variables)
-        f = rings.RingElem(src, src.payload_from_json(j))
-    except (AlgebraError, KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"{args.poly}: {e}")
+    f = _read(args.poly, _integer_poly, _load_json(args.poly))
     cs = gb.greenberg_transform(f, args.p, args.level)
     lines = [
         f"component {k}: {cs.ring.show(poly)}"
         for k, poly in enumerate(cs.polys)
     ]
     return cs.to_json(), "\n".join(lines), 0
-
-
-def _law_from_descriptor(desc: dict) -> gb.GroupLaw:
-    try:
-        kind = desc["kind"]
-        if kind == "shape":
-            return gb.group_law_shape(int(desc["p"]), int(desc["d"]))
-        if kind == "capped":
-            return gb.group_law_capped(
-                int(desc["p"]), int(desc["precision"]), int(desc["degree_cap"])
-            )
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"bad law descriptor: {e}")
-    raise UsageError(f"unknown law kind {desc.get('kind')!r}")
 
 
 def _run_axioms(law: gb.GroupLaw, args):
@@ -315,12 +298,7 @@ def _do_greenberg_law(args):
 
 
 def _do_verify_law(args):
-    stored = _load_json(args.law)
-    if "law" in stored and isinstance(stored["law"], dict):
-        stored = stored["law"]
-    if "descriptor" not in stored:
-        raise UsageError(f"{args.law}: no descriptor field")
-    law = _law_from_descriptor(stored["descriptor"])
+    stored, law = _read(args.law, _stored_law, _load_json(args.law))
     matches = law.to_json() == stored
     report = _run_axioms(law, args)
     payload = {
@@ -367,7 +345,7 @@ def _do_ad_matrix(args):
         raise UsageError("numeric matrices need --f")
     m = adj.ad_matrix(
         f,
-        args.subgroup,
+        _read(f"--subgroup {args.subgroup}", ag.SubgroupSpec.parse, args.subgroup),
         mode="symbolic" if symbolic else "numeric",
         allow_nonabelian=args.allow_nonabelian,
     )
@@ -384,7 +362,7 @@ def _do_module_decomp(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="affaut",
         description="automorphisms of the truncated line, from the shell",
     )
@@ -397,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         if ring:
             p.add_argument("--ring", required=True, help="zmod:<m>[:q=<p>] | tq:<p|Q>:<e> | sym[:n=<k>]")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="entropy for sampling (required when sampling happens)")
+            p.add_argument("--seed", type=_integer, default=None, help="entropy for sampling (required when sampling happens)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         return p
@@ -420,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("iterate", _do_iterate, ring=True, help="k-fold self-composition")
     p.add_argument("--f", required=True)
-    p.add_argument("--times", type=int, required=True)
+    p.add_argument("--times", type=_natural, required=True)
 
     p = verb("series", _do_series, ring=True, seed=True, help="precision-halving filtration with abelian-kernel evidence")
     p.add_argument("--samples", type=_positive, default=100)
 
     p = verb("witt-derive", _do_witt_derive, help="universal component laws for sums and products")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
 
     p = verb("witt-add", _do_witt_add, help="componentwise sum")
     p.add_argument("--u", required=True)
@@ -441,20 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True)
 
     p = verb("witt-iso", _do_witt_iso, help="vectors over F_p <-> residues mod p^(level+1)")
-    p.add_argument("--value", default=None, help="residue to convert to components")
+    p.add_argument("--value", type=_integer, default=None, help="residue to convert to components")
     p.add_argument("--u", default=None, help="vector file to convert to a residue")
     p.add_argument("--p", type=_prime, default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
 
     p = verb("greenberg", _do_greenberg, help="component system of an integer polynomial")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
     p.add_argument("--poly", required=True, help='JSON file: {"variables": [...], "terms": [...]}')
 
     p = verb("greenberg-law", _do_greenberg_law, seed=True, help="component-level composition law")
     p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--d", type=int, required=True, help="degree cap")
-    p.add_argument("--precision", type=int, default=None, help="build the degree-filtered law at this precision instead of the shape law")
+    p.add_argument("--d", type=_integer, required=True, help="degree cap")
+    p.add_argument("--precision", type=_integer, default=None, help="build the degree-filtered law at this precision instead of the shape law")
     p.add_argument("--verify", choices=("exhaustive", "sampled"), default=None)
     p.add_argument("--samples", type=_positive, default=10000)
 
@@ -466,16 +444,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("ad", _do_ad, ring=True, help="conjugate a congruence element")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
 
     p = verb("ad-matrix", _do_ad_matrix, ring=True, help="matrix of the conjugation action")
     p.add_argument("--f", default=None, help="conjugator (defaults to the generic one over sym rings)")
     p.add_argument("--subgroup", required=True, help="n:<n>,<r> | k:<n>,<r>")
-    p.add_argument("--degree", type=int, default=None, help="degree of the generic conjugator")
+    p.add_argument("--degree", type=_integer, default=None, help="degree of the generic conjugator")
     p.add_argument("--allow-nonabelian", action="store_true")
 
     p = verb("module-decomp", _do_module_decomp, ring=True, help="cyclic decomposition of a congruence subgroup")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
 
     return top
 
@@ -486,8 +464,11 @@ def _emit(args, payload: dict, text: str) -> None:
     else:
         body = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(body)
 
@@ -497,20 +478,18 @@ def main(argv: Optional[list] = None) -> int:
     # limit of 4300, in a --value and in every printed modulus or payload
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         payload, text, status = args.handler(args)
+        _emit(args, payload, text)
+    except SystemExit as e:  # --help
+        return e.code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except AlgebraError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    _emit(args, payload, text)
     return status
 
 

@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .rings import (
-    IntModRing, RingElem, SymbolicRing, SymElem, _pow_payload, _require_prime,
+    IntModRing, RingElem, SymbolicRing, SymElem, _field, _pow_payload, _require_prime,
 )
 from .witt import (
     WittVec,
@@ -198,16 +198,17 @@ def _layout(descriptor: dict):
     precision), the coordinate scheme, the coordinate names and the
     generators: left coordinates, then the primed right ones, then y and
     y' for the capped kind, whose y inverts the unit coordinate a1_0."""
-    kind = descriptor.get("kind")
+    kind = _field(descriptor, "kind", "law descriptor")
     if kind == "shape":
-        length = descriptor["d"]
+        length = _field(descriptor, "d", "law descriptor", int)
         scheme = shape_coordinate_scheme(length)
     elif kind == "capped":
-        length = descriptor["precision"]
-        scheme = capped_coordinate_scheme(descriptor["degree_cap"], length)
+        length = _field(descriptor, "precision", "law descriptor", int)
+        cap = _field(descriptor, "degree_cap", "law descriptor", int)
+        scheme = capped_coordinate_scheme(cap, length)
     else:
         raise PreconditionFailed(f"unknown law kind {kind!r}")
-    p = _require_prime(descriptor["p"])
+    p = _require_prime(_field(descriptor, "p", "law descriptor", int))
     names = tuple(f"a{j}_{slot}" for j, slot in scheme)
     aux = ("y",) if kind == "capped" else ()
     gens = names + tuple(n + "'" for n in names) + aux + tuple(n + "'" for n in aux)

@@ -41,13 +41,42 @@ from .errors import (
 INFINITE_VAL = math.inf
 
 
-def _as_int(s) -> int:
-    # bool is a subclass of int: a JSON true must not read as 1
-    if isinstance(s, bool):
-        raise PreconditionFailed(f"expected an integer, got the boolean {s!r}")
-    if isinstance(s, int):
-        return s
-    return int(str(s), 10)
+# The one checker of outside input: every reader of JSON files and flags
+# goes through it and raises only PreconditionFailed, naming the field.
+def _as_int(x, what: str = "value", least: Optional[int] = None) -> int:
+    """x as an int: a JSON int, or a string of ASCII decimal digits with
+    an optional leading minus.  Booleans, floats and the other spellings
+    int() takes ("1_0", " 2", non-ASCII digits) are refused."""
+    digits = x.removeprefix("-") if isinstance(x, str) else ""
+    if type(x) is not int and not (digits.isascii() and digits.isdigit()):
+        kind = "the boolean " if isinstance(x, bool) else ""
+        raise PreconditionFailed(f"{what} must be an integer, got {kind}{x!r}")
+    k = int(x)
+    if least is not None and k < least:
+        raise PreconditionFailed(f"{what} must be at least {least}, got {k}")
+    return k
+
+
+def _as(x, kind: type, what: str):
+    """x, when it is a JSON value of the kind given: int (by _as_int), list,
+    dict (an object) or str.  A string is never a list of its characters."""
+    if kind is int:
+        return _as_int(x, what)
+    if not isinstance(x, kind):
+        name = {list: "a list", dict: "an object", str: "a string"}[kind]
+        raise PreconditionFailed(f"{what} must be {name}, got {type(x).__name__}")
+    return x
+
+
+def _field(j, key: str, what: str, kind: Optional[type] = None, *default):
+    """j[key] of the JSON object j that holds what, checked by _as when a
+    kind is given; like dict.pop, the default if the key is absent and
+    one is given.  Other keys are ignored."""
+    if key not in _as(j, dict, what):
+        if not default:
+            raise PreconditionFailed(f"{what} has no {key!r} field")
+        return default[0]
+    return j[key] if kind is None else _as(j[key], kind, f"{what} {key}")
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -288,8 +317,8 @@ class Ring:
     def payload_to_json(self, a):
         raise NotImplementedError
 
-    def payload_from_json(self, j):
-        raise NotImplementedError
+    def payload_from_json(self, j, what: str = "value"):
+        return self.from_int(_as_int(j, what))
 
     def __repr__(self):
         return self.describe()
@@ -400,11 +429,6 @@ class IntegerRing(Ring):
     def from_int(self, k: int) -> int:
         return k
 
-    def coerce_payload(self, x):
-        if isinstance(x, int):
-            return x
-        raise PreconditionFailed(f"not an integer: {x!r}")
-
     def add(self, a, b):
         return a + b
 
@@ -473,9 +497,6 @@ class IntegerRing(Ring):
     def payload_to_json(self, a):
         return str(a)
 
-    def payload_from_json(self, j):
-        return _as_int(j)
-
     def show(self, a):
         return str(a)
 
@@ -533,11 +554,6 @@ class IntModRing(Ring):
 
     def from_int(self, k: int) -> int:
         return k % self.m
-
-    def coerce_payload(self, x):
-        if isinstance(x, int):
-            return x % self.m
-        raise PreconditionFailed(f"not an integer: {x!r}")
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -634,9 +650,6 @@ class IntModRing(Ring):
 
     def payload_to_json(self, a):
         return str(a % self.m)
-
-    def payload_from_json(self, j):
-        return _as_int(j) % self.m
 
     def show(self, a):
         return str(a % self.m)
@@ -837,13 +850,16 @@ class TruncSeriesRing(Ring):
     def payload_to_json(self, a):
         return [str(c) for c in a]
 
-    def payload_from_json(self, j):
-        return self.coerce_payload([self._parse_scalar(s) for s in j])
+    def payload_from_json(self, j, what="value"):
+        scalars = _as(j, list, what)
+        return self.coerce_payload([self._parse_scalar(s, what) for s in scalars])
 
-    def _parse_scalar(self, s):
-        if self.base == "fp":
-            return _as_int(s)
-        return _fraction()(str(s))
+    def _parse_scalar(self, s, what):
+        """An integer, or over Q also the "a/b" payload_to_json writes."""
+        if self.base == "rationals" and isinstance(s, str) and "/" in s:
+            a, _, b = s.partition("/")
+            return _fraction()(_as_int(a, what), _as_int(b, f"{what} denominator", 1))
+        return _as_int(s, what)
 
     def show(self, a):
         parts = []
@@ -901,12 +917,12 @@ class SymbolicRing(Ring):
         q: Union[None, int, str] = None,
         trunc: Optional[int] = None,
     ):
-        gens = tuple(generators)
+        gens = tuple(_as(g, str, "generator name") for g in generators)
         if len(set(gens)) != len(gens):
             raise PreconditionFailed("duplicate generator names")
         self.gens = gens
         self.gidx = {g: i for i, g in enumerate(gens)}
-        if inverted is not None and inverted not in self.gidx:
+        if inverted is not None and inverted not in gens:
             raise PreconditionFailed(f"inverted generator {inverted!r} unknown")
         self.inverted = inverted
         self.inv_idx = self.gidx[inverted] if inverted else None
@@ -1209,17 +1225,23 @@ class SymbolicRing(Ring):
             out["b_denominator"] = a.bk
         return out
 
-    def payload_from_json(self, j):
+    def payload_from_json(self, j, what="value"):
         terms: dict = {}
-        for t in j.get("terms", []):
+        for t in _field(j, "terms", what, list, []):
             e = list(self._zero_exp)
-            for g, k in t.get("exponents", {}).items():
-                k = _as_int(k)
+            for g, k in _field(t, "exponents", "term", dict, {}).items():
+                if g not in self.gidx:
+                    raise PreconditionFailed(f"exponent of unknown generator {g}")
+                k = _as_int(k, f"exponent of {g}")
                 if k < 0:
                     raise PreconditionFailed(f"negative exponent {k} of {g}")
                 e[self.gidx[g]] = k
-            terms[tuple(e)] = terms.get(tuple(e), 0) + _as_int(t["coeff"])
-        return self._norm(terms, int(j.get("b_denominator", 0)))
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + _field(t, "coeff", "term", int)
+        bk = _field(j, "b_denominator", what, int, 0)
+        if bk and self.inverted is None:
+            raise PreconditionFailed(f"b_denominator {bk}, but {self} inverts nothing")
+        return self._norm(terms, bk)
 
     def show(self, a: SymElem):
         if not a.terms:
@@ -1265,25 +1287,19 @@ def _pow_payload(ring: Ring, v, k: int):
 
 
 def ring_from_descriptor(d: Mapping) -> Ring:
-    kind = d["kind"]
+    kind = _field(d, "kind", "ring")
     if kind == "integers":
-        return IntegerRing(q=_as_int(d["q"]) if "q" in d else None)
+        return IntegerRing(q=_field(d, "q", "ring", int, None))
     if kind == "zmod":
-        return IntModRing(_as_int(d["m"]), q=_as_int(d["p"]) if "p" in d else None)
+        return IntModRing(_field(d, "m", "ring", int), _field(d, "p", "ring", int, None))
     if kind == "truncseries":
-        return TruncSeriesRing(
-            d["base"], int(d["e"]), p=_as_int(d["p"]) if d.get("p") else None
-        )
+        base, e = _field(d, "base", "ring"), _field(d, "e", "ring", int)
+        return TruncSeriesRing(base, e, p=_field(d, "p", "ring", int, None))
     if kind == "symbolic":
-        q = d.get("q")
-        if q is not None:
-            q = int(q) if str(q).isdigit() else str(q)
-        return SymbolicRing(
-            d["generators"],
-            inverted=d.get("inverted"),
-            q=q,
-            trunc=d.get("n"),
-        )
+        gens, q = _field(d, "generators", "ring", list), d.get("q")
+        q = q if q is None or q in gens else _as_int(q, "ring q")
+        trunc = _field(d, "n", "ring", int, None)
+        return SymbolicRing(gens, d.get("inverted"), q, trunc)
     raise PreconditionFailed(f"unknown ring kind {kind!r}")
 
 
@@ -1299,25 +1315,26 @@ def parse_ring_flag(flag: str) -> Ring:
     if parts[0] == "zmod":
         if len(parts) < 2:
             raise PreconditionFailed("zmod needs a modulus: zmod:<m>[:q=<p>]")
-        m = _as_int(parts[1])
+        m = _as_int(parts[1], "modulus")
         q = None
         for extra in parts[2:]:
             if extra.startswith("q="):
-                q = _as_int(extra[2:])
+                q = _as_int(extra[2:], "q")
             else:
                 raise PreconditionFailed(f"bad zmod option {extra!r}")
         return IntModRing(m, q=q)
     if parts[0] == "tq":
         if len(parts) != 3:
             raise PreconditionFailed("series grammar: tq:<p|Q>:<e>")
+        e = _as_int(parts[2], "truncation order e")
         if parts[1] in ("Q", "q", "rationals"):
-            return TruncSeriesRing("rationals", int(parts[2]))
-        return TruncSeriesRing("fp", int(parts[2]), p=_as_int(parts[1]))
+            return TruncSeriesRing("rationals", e)
+        return TruncSeriesRing("fp", e, p=_as_int(parts[1], "p"))
     if parts[0] == "sym":
         trunc = None
         for extra in parts[1:]:
             if extra.startswith("n="):
-                trunc = int(extra[2:])
+                trunc = _as_int(extra[2:], "n")
             else:
                 raise PreconditionFailed(f"bad sym option {extra!r}")
         return universal_coefficient_ring(trunc)

@@ -37,8 +37,11 @@ from .rings import (
     Ring,
     RingElem,
     SymbolicRing,
+    _as_int,
+    _field,
     _pow_payload,
     _require_prime,
+    ring_from_descriptor,
 )
 
 
@@ -116,12 +119,12 @@ class WittVec(_Frozen):
 
     @classmethod
     def from_json(cls, j: dict) -> "WittVec":
-        from .rings import ring_from_descriptor
-
-        ring = ring_from_descriptor(j["ring"])
-        return cls(
-            j["p"], ring, tuple(ring.payload_from_json(c) for c in j["components"])
-        )
+        ring = ring_from_descriptor(_field(j, "ring", "vector"))
+        cs = _field(j, "components", "vector", list)
+        if not cs:
+            raise PreconditionFailed("vector components must not be empty")
+        p = _field(j, "p", "vector", int)
+        return cls(p, ring, tuple(ring.payload_from_json(c, "components") for c in cs))
 
 
 def _check_shapes(u: WittVec, v: WittVec):
@@ -278,14 +281,14 @@ class UniversalWittLaw(NamedTuple):
 
     @classmethod
     def from_json(cls, j: dict) -> "UniversalWittLaw":
-        ring = _law_ring(j["p"], j["level"])
-        return cls(
-            p=j["p"],
-            level=j["level"],
-            ring=ring,
-            sum_polys=tuple(ring.payload_from_json(c) for c in j["sum"]),
-            prod_polys=tuple(ring.payload_from_json(c) for c in j["prod"]),
+        p = _require_prime(_field(j, "p", "law", int))
+        level = _as_int(_field(j, "level", "law"), "law level", least=0)
+        ring = _law_ring(p, level)
+        sums, prods = (
+            tuple(ring.payload_from_json(c, key) for c in _field(j, key, "law", list))
+            for key in ("sum", "prod")
         )
+        return cls(p, level, ring, sums, prods)
 
 
 def _law_ring(p: int, n: int) -> SymbolicRing:

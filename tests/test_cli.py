@@ -307,27 +307,195 @@ def test_greenberg_law_at_large_shapes_finishes():
         assert json.loads(out.stdout)["law"]["descriptor"]["d"] == int(d)
 
 
-def test_greenberg_refuses_a_negative_exponent_at_once(tmp_path):
-    """A negative exponent once spun binary powering forever; in a fresh
-    process, so a hang ends at the timeout."""
-    poly = tmp_path / "neg.json"
-    poly.write_text(json.dumps(
-        {"variables": ["x"], "terms": [{"coeff": "1", "exponents": {"x": -3}}]}
-    ))
-    out = fresh("greenberg", "--p", "2", "--level", "1", "--poly", str(poly), timeout=10)
+# Malformed inputs, each a usage error that names its source: a file, a
+# flag read by a handler or "argument <flag>" for one argparse reads.  Each
+# row holds the arguments, the files they name ({path} is the directory
+# they are written to; f.json always holds the map T) and the stderr line
+# it must print.
+F = "{path}/f.json"
+MALFORMED = {
+    # a negative exponent once spun binary powering forever
+    "negative-exponent": (
+        ["greenberg", "--p", "2", "--level", "1", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": ["x"], "terms": [{"coeff": "1", "exponents": {"x": -3}}]}},
+        "usage error: {path}/p.json: negative exponent -3 of x",
+    ),
+    "greenberg-term-not-an-object": (
+        ["greenberg", "--p", "2", "--level", "2", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": ["x"], "terms": [[[3], 1]]}},
+        "usage error: {path}/p.json: term must be an object, got list",
+    ),
+    "greenberg-terms-a-string": (
+        ["greenberg", "--p", "2", "--level", "2", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": ["x"], "terms": "xx"}},
+        "usage error: {path}/p.json: polynomial terms must be a list, got str",
+    ),
+    "greenberg-variables-a-string": (
+        ["greenberg", "--p", "2", "--level", "1", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": "xy", "terms": []}},
+        "usage error: {path}/p.json: polynomial variables must be a list, got str",
+    ),
+    "greenberg-boolean-denominator": (
+        ["greenberg", "--p", "2", "--level", "1", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": ["x"], "terms": [], "b_denominator": True}},
+        "usage error: {path}/p.json: polynomial b_denominator must be an integer, got the boolean True",
+    ),
+    "greenberg-denominator-without-inverse": (
+        ["greenberg", "--p", "2", "--level", "1", "--poly", "{path}/p.json"],
+        {"p.json": {"variables": ["x"], "terms": [{"coeff": "1"}], "b_denominator": 1}},
+        "usage error: {path}/p.json: b_denominator 1, but Z[x] inverts nothing",
+    ),
+    "symbolic-coefficient-a-string": (
+        ["compose", "--ring", "sym", "--f", "{path}/s.json", "--g", "{path}/s.json"],
+        {"s.json": {"coeffs": ["1", "1"]}},
+        "usage error: {path}/s.json: coeffs must be an object, got str",
+    ),
+    "witt-components-a-string": (
+        ["ghost", "--u", "{path}/u.json"],
+        {"u.json": {"p": 3, "ring": {"kind": "zmod", "m": "27"}, "components": "10"}},
+        "usage error: {path}/u.json: vector components must be a list, got str",
+    ),
+    "series-order-a-boolean": (
+        ["ghost", "--u", "{path}/u.json"],
+        {"u.json": {"p": 3, "ring": {"kind": "truncseries", "base": "fp", "e": True, "p": "3"},
+                    "components": [["1"]]}},
+        "usage error: {path}/u.json: ring e must be an integer, got the boolean True",
+    ),
+    "symbolic-generators-a-string": (
+        ["ghost", "--u", "{path}/u.json"],
+        {"u.json": {"p": 2, "ring": {"kind": "symbolic", "generators": "ab"}, "components": [{}]}},
+        "usage error: {path}/u.json: ring generators must be a list, got str",
+    ),
+    "series-coefficient-a-string": (
+        ["compose", "--ring", "tq:5:2", "--f", "{path}/t.json", "--g", "{path}/t.json"],
+        {"t.json": {"coeffs": ["12", ["1"]]}},
+        "usage error: {path}/t.json: coeffs must be a list, got str",
+    ),
+    "rational-a-float": (
+        ["compose", "--ring", "tq:Q:2", "--f", "{path}/t.json", "--g", "{path}/t.json"],
+        {"t.json": {"coeffs": [[0.5], ["1"]]}},
+        "usage error: {path}/t.json: coeffs must be an integer, got 0.5",
+    ),
+    "rational-an-exponent": (
+        ["compose", "--ring", "tq:Q:2", "--f", "{path}/t.json", "--g", "{path}/t.json"],
+        {"t.json": {"coeffs": [["1e2"], ["1"]]}},
+        "usage error: {path}/t.json: coeffs must be an integer, got '1e2'",
+    ),
+    "integer-with-underscore": (
+        ["compose", "--ring", "zmod:81", "--f", "{path}/t.json", "--g", F],
+        {"t.json": {"coeffs": ["1_0", "1"]}},
+        "usage error: {path}/t.json: coeffs must be an integer, got '1_0'",
+    ),
+    "integer-with-space": (
+        ["compose", "--ring", "zmod:81", "--f", "{path}/t.json", "--g", F],
+        {"t.json": {"coeffs": [" 2", "1"]}},
+        "usage error: {path}/t.json: coeffs must be an integer, got ' 2'",
+    ),
+    "integer-a-boolean": (
+        ["compose", "--ring", "zmod:27:q=3", "--f", "{path}/t.json", "--g", F],
+        {"t.json": {"coeffs": ["1", True]}},
+        "usage error: {path}/t.json: coeffs must be an integer, got the boolean True",
+    ),
+    "coeffs-a-string": (
+        ["compose", "--ring", "zmod:81:q=3", "--f", "{path}/t.json", "--g", F],
+        {"t.json": {"coeffs": "12"}},
+        "usage error: {path}/t.json: polynomial coeffs must be a list, got str",
+    ),
+    "file-not-utf8": (
+        ["compose", "--ring", "zmod:8", "--f", "{path}/t.json", "--g", F],
+        {"t.json": b"\xff\xfe"},
+        "usage error: {path}/t.json does not hold JSON",
+    ),
+    "file-nested-too-deep": (
+        ["compose", "--ring", "zmod:8", "--f", "{path}/t.json", "--g", F],
+        {"t.json": b"[" * 100000 + b"]" * 100000},
+        "usage error: {path}/t.json does not hold JSON",
+    ),
+    "modulus-with-underscore": (
+        ["compose", "--ring", "zmod:8_1", "--f", F, "--g", F],
+        {},
+        "usage error: --ring zmod:8_1: modulus must be an integer, got '8_1'",
+    ),
+    "modulus-not-a-number": (
+        ["compose", "--ring", "zmod:abc", "--f", F, "--g", F],
+        {},
+        "usage error: --ring zmod:abc: modulus must be an integer, got 'abc'",
+    ),
+    "series-order-not-a-number": (
+        ["compose", "--ring", "tq:3:x", "--f", F, "--g", F],
+        {},
+        "usage error: --ring tq:3:x: truncation order e must be an integer, got 'x'",
+    ),
+    "law-degree-a-boolean": (
+        ["verify-law", "--law", "{path}/l.json"],
+        {"l.json": {"descriptor": {"kind": "shape", "p": 2, "d": True}}},
+        "usage error: {path}/l.json: law descriptor d must be an integer, got the boolean True",
+    ),
+    "law-precision-a-float": (
+        ["verify-law", "--law", "{path}/l.json"],
+        {"l.json": {"descriptor": {"kind": "capped", "p": 2, "precision": 2.0, "degree_cap": 1}}},
+        "usage error: {path}/l.json: law descriptor precision must be an integer, got 2.0",
+    ),
+    "law-file-not-an-object": (
+        ["verify-law", "--law", "{path}/l.json"],
+        {"l.json": 5},
+        "usage error: {path}/l.json: law file must be an object, got int",
+    ),
+    "subgroup-degree-with-space": (
+        ["member", "--ring", "zmod:8", "--f", F, "--subgroup", "atilde: 2"],
+        {},
+        "usage error: --subgroup atilde: 2: subgroup d must be an integer, got ' 2'",
+    ),
+    "subgroup-level-missing": (
+        ["member", "--ring", "zmod:8", "--f", F, "--subgroup", "n:2"],
+        {},
+        "usage error: --subgroup n:2: subgroup r must be an integer, got ''",
+    ),
+    "times-with-underscore": (
+        ["iterate", "--ring", "zmod:8", "--f", F, "--times", "1_0"],
+        {},
+        "usage error: argument --times: the value must be an integer, got '1_0'",
+    ),
+    "samples-with-underscore": (
+        ["series", "--ring", "zmod:8", "--seed", "1", "--samples", "2_0"],
+        {},
+        "usage error: argument --samples: the value must be an integer, got '2_0'",
+    ),
+    "value-with-underscore": (
+        ["witt-iso", "--value", "1_000", "--p", "2", "--level", "1"],
+        {},
+        "usage error: argument --value: the value must be an integer, got '1_000'",
+    ),
+    "p-with-underscore": (
+        ["witt-derive", "--p", "1_1", "--level", "1"],
+        {},
+        "usage error: argument --p: the value must be an integer, got '1_1'",
+    ),
+    "required-flag-missing": (
+        ["compose", "--ring", "zmod:8", "--f", F],
+        {},
+        "usage error: the following arguments are required: --g",
+    ),
+    "out-unwritable": (
+        ["witt-derive", "--p", "2", "--level", "1", "--out", "{path}/no/dir.json"],
+        {},
+        "usage error: cannot write {path}/no/dir.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_a_usage_error(tmp_path, case):
+    """In a fresh process, so that a hang ends at the timeout."""
+    argv, files, stderr = MALFORMED[case]
+    files = {"f.json": {"coeffs": ["0", "1"]}, **files}
+    for name, content in files.items():
+        raw = content if isinstance(content, bytes) else json.dumps(content).encode()
+        (tmp_path / name).write_bytes(raw)
+    out = fresh(*[a.format(path=tmp_path) for a in argv], timeout=10)
     assert out.returncode == 2 and out.stdout == ""
-    assert "negative exponent -3 of x" in out.stderr
-
-
-def test_json_booleans_are_usage_errors(tmp_path, capsys):
-    fp = tmp_path / "f.json"
-    fp.write_text(json.dumps({"coeffs": ["1", True]}))
-    gp = write_poly(tmp_path, "g.json", [0, 1])
-    code, out, err = run(
-        capsys, "compose", "--ring", "zmod:27:q=3", "--f", str(fp), "--g", gp
-    )
-    assert code == 2 and out == ""
-    assert "boolean" in err
+    assert "Traceback" not in out.stderr
+    assert stderr.format(path=tmp_path) in out.stderr
 
 
 def test_verify_law_cli(tmp_path, capsys):
@@ -456,25 +624,6 @@ def test_text_format_for_polynomials(tmp_path, capsys):
     assert code == 0
     ring = IntModRing(27, q=3)
     assert out.strip() == repr(TruncPoly(ring, [1, 4, 3]))
-
-
-def test_malformed_modulus_is_a_usage_error(tmp_path, capsys):
-    fp = write_poly(tmp_path, "f.json", [1, 1])
-    code, _, err = run(
-        capsys, "compose", "--ring", "zmod:abc", "--f", fp, "--g", fp
-    )
-    assert code == 2 and "usage error" in err and "Traceback" not in err
-
-
-def test_string_coeffs_are_a_usage_error(tmp_path, capsys):
-    # a string is not read as its characters
-    sp = tmp_path / "s.json"
-    sp.write_text(json.dumps({"coeffs": "12"}))
-    fp = write_poly(tmp_path, "f.json", [0, 1])
-    code, out, err = run(
-        capsys, "compose", "--ring", "zmod:81:q=3", "--f", str(sp), "--g", fp
-    )
-    assert code == 2 and out == "" and "coeffs must be a list" in err
 
 
 def test_non_prime_p_is_a_usage_error(tmp_path, capsys):

@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from affaut import greenberg as gb
+from affaut.adjoint import AdjointMatrix, ad_matrix
+from affaut.autgroup import SubgroupSpec, TruncPoly
 from affaut.errors import (
     NotAUnit,
     NotDivisible,
@@ -29,6 +32,9 @@ from affaut.rings import (
     ring_from_descriptor,
     universal_coefficient_ring,
 )
+from affaut.witt import UniversalWittLaw, WittVec, derive_witt_laws
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # Independent oracles, deliberately written without touching the library
@@ -444,22 +450,161 @@ def test_one_power_helper_for_every_ring():
             acc = ring.mul(acc, v)
 
 
+_GONE = object()
+
+
+def _with(doc, path, value):
+    """A copy of the JSON document doc with the value at path (keys and
+    indices) replaced by value, or removed when value is _GONE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if value is _GONE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _json_readers():
+    """(reader, a document it reads, paths to its integers, to its lists
+    and objects, to its required fields), one row per reader of outside
+    JSON."""
+    S = universal_coefficient_ring(trunc=3)
+    matrix = ad_matrix(TruncPoly(IntModRing(16, q=2), [1, 1]), "k:4,2")
+    return [
+        (IntegerRing(q=3).payload_from_json, "5", [()], [], []),
+        (IntModRing(27, q=3).payload_from_json, "5", [()], [], []),
+        (TruncSeriesRing("fp", 2, p=3).payload_from_json, ["1", "2"], [(0,)], [()], []),
+        (TruncSeriesRing("rationals", 2).payload_from_json, ["1/2", "3"], [(1,)], [()], []),
+        (
+            S.payload_from_json,
+            {"terms": [{"coeff": "2", "exponents": {"a": 1}}], "b_denominator": 1},
+            [("terms", 0, "coeff"), ("terms", 0, "exponents", "a"), ("b_denominator",)],
+            [("terms",), ("terms", 0), ("terms", 0, "exponents")],
+            [("terms", 0, "coeff")],
+        ),
+        (ring_from_descriptor, IntegerRing(q=3).descriptor(), [("q",)], [()], [("kind",)]),
+        (
+            ring_from_descriptor, IntModRing(27, q=3).descriptor(),
+            [("m",), ("p",)], [], [("m",)],
+        ),
+        (
+            ring_from_descriptor, TruncSeriesRing("fp", 2, p=3).descriptor(),
+            [("e",), ("p",)], [], [("base",), ("e",)],
+        ),
+        (ring_from_descriptor, S.descriptor(), [("n",)], [("generators",)], [("generators",)]),
+        (
+            lambda j: TruncPoly.from_json(IntModRing(27), j), {"coeffs": ["1", "2"]},
+            [("coeffs", 1)], [("coeffs",)], [("coeffs",)],
+        ),
+        (
+            WittVec.from_json, WittVec.make(3, IntModRing(9, q=3), [1, 2]).to_json(),
+            [("p",), ("components", 1), ("ring", "m")], [("components",), ("ring",)],
+            [("p",), ("ring",), ("components",)],
+        ),
+        (
+            UniversalWittLaw.from_json, derive_witt_laws(2, 1).to_json(),
+            [("p",), ("level",), ("sum", 0, "terms", 0, "coeff")], [("sum",), ("prod",)],
+            [("p",), ("level",), ("sum",), ("prod",)],
+        ),
+        (
+            AdjointMatrix.from_json, matrix.to_json(), [("rows", 0, 0)],
+            [("rows",), ("rows", 0), ("ring",)],
+            [("ring",), ("rows",), ("subgroup",), ("mode",)],
+        ),
+        (
+            gb._layout, {"kind": "capped", "p": 2, "precision": 2, "degree_cap": 1},
+            [("p",), ("precision",), ("degree_cap",)], [()],
+            [("kind",), ("p",), ("precision",), ("degree_cap",)],
+        ),
+        (gb._layout, {"kind": "shape", "p": 2, "d": 2}, [("d",)], [], [("d",)]),
+    ]
+
+
+# JSON values that are not integers, though Python's int() or a truth
+# test would take them for one
+NOT_INTEGERS = (True, False, 1.5, "1_0", " 3", "\u0663", "+3")
+
+
 def test_json_booleans_are_not_integers():
     """bool is a subclass of int, so true and false must be refused by
-    name rather than read as 1 and 0."""
+    name rather than read as 1 and 0.  Every reader of outside JSON
+    refuses them, and with them every other malformed input: a float or a
+    string int() would take in an integer's place, a string in a list's
+    place, a missing field."""
+    for read, doc, ints, lists, required in _json_readers():
+        read(doc)
+        cases = [(p, bad) for p in ints for bad in NOT_INTEGERS]
+        cases += [(p, "12") for p in lists] + [(p, _GONE) for p in required]
+        for path, bad in cases:
+            with pytest.raises(PreconditionFailed) as e:
+                read(_with(doc, path, bad))
+            if isinstance(bad, bool):
+                assert "boolean" in str(e.value)
+    with pytest.raises(PreconditionFailed, match="empty"):
+        WittVec.from_json(WittVec.make(3, IntModRing(9), [1]).to_json() | {"components": []})
+    law = derive_witt_laws(2, 1).to_json()
+    for bad in ({"p": 4}, {"level": -1}):
+        with pytest.raises(PreconditionFailed):
+            UniversalWittLaw.from_json({**law, **bad})
+    Q = TruncSeriesRing("rationals", 2)
+    assert Q.payload_from_json(["-1/2", "3"]) == (Fraction(-1, 2), Fraction(3))
+    for bad in ("1/0", "1/-2", "1/ 2", "1/2/3", "/2", "0.5"):
+        with pytest.raises(PreconditionFailed):
+            Q.payload_from_json([bad])
+
+
+def test_package_output_reads_back_through_the_strict_readers():
+    """Strictness must not refuse what the package writes: every to_json
+    output reads back equal, the golden files included."""
+    Q = TruncSeriesRing("rationals", 2)
     S = universal_coefficient_ring(trunc=3)
-    readers = [
-        IntegerRing(q=3).payload_from_json,
-        IntModRing(27, q=3).payload_from_json,
-        lambda j: TruncSeriesRing("fp", 2, p=3).payload_from_json([j, "1"]),
-        lambda j: S.payload_from_json({"terms": [{"coeff": j}]}),
-        lambda j: S.payload_from_json({"terms": [{"coeff": "1", "exponents": {"a": j}}]}),
-        lambda j: ring_from_descriptor({"kind": "zmod", "m": j}),
+    half = (Fraction(1, 2), Fraction(-3, 4))
+    polys = [
+        TruncPoly(IntModRing(72), [5, 1, 70]),
+        TruncPoly(TruncSeriesRing("fp", 3, p=5), [(1, 2, 3), (1,)]),
+        TruncPoly(Q, [half, (1,), (Fraction(5, 3),)]),
+        TruncPoly(S, [S.monomial(-3, {"a": 2, "q": 1}, bk=2), S.one(), S.gen("c")]),
+        TruncPoly(derive_witt_laws(2, 1).ring, [0, 1]),
     ]
-    for read in readers:
-        for j in (True, False):
-            with pytest.raises(PreconditionFailed, match="boolean"):
-                read(j)
+    for f in polys:
+        assert TruncPoly.from_json(f.ring, json.loads(json.dumps(f.to_json()))) == f
+        assert ring_from_descriptor(json.loads(json.dumps(f.ring.descriptor()))) == f.ring
+    vectors = (
+        WittVec.make(3, IntModRing(27, q=3), [1, 2, 26]),
+        WittVec.make(2, Q, [half, (3,)]),
+    )
+    for u in vectors:
+        assert WittVec.from_json(json.loads(json.dumps(u.to_json()))) == u
+    for spec in ("full", "a:2", "atilde:1", "n:3,1", "k:4,2"):
+        assert SubgroupSpec.parse(spec).show() == spec
+    for path in sorted(GOLDEN.iterdir()):
+        j = json.loads(path.read_text())
+        if path.name.startswith("witt_law"):
+            assert UniversalWittLaw.from_json(j).to_json() == j
+        elif path.name.startswith("conj_matrix"):
+            assert AdjointMatrix.from_json(j).to_json() == j
+        else:
+            law = gb._build_law(j["descriptor"])
+            laws = [law.ring.payload_from_json(j["laws"][c]) for c in law.coordinates]
+            assert laws == list(law.laws) and law.to_json() == j
+
+
+def test_flag_grammars_read_integers_by_the_same_rule():
+    templates = (
+        (parse_ring_flag, ("zmod:{}", "zmod:9:q={}", "tq:{}:2", "tq:3:{}", "sym:n={}")),
+        (SubgroupSpec.parse, ("a:{}", "atilde:{}", "n:{},1", "k:3,{}")),
+    )
+    for read, forms in templates:
+        for form in forms:
+            read(form.format(3))
+            for bad in ("1_0", " 3", "1.5", "true", "\u0663", ""):
+                with pytest.raises(PreconditionFailed):
+                    read(form.format(bad))
 
 
 def test_negative_exponents_are_refused():
