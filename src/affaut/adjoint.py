@@ -4,25 +4,25 @@ An automorphism congruent to the identity to q-adic level r, written
 T + q^r * h(T), is pinned down by h modulo q^(n-r).  Once 2r >= n every
 product of two such corrections vanishes, so composition is plain
 addition of h parts and rescaling h by a ring constant is well defined;
-the congruence subgroup becomes a module over R/q^(n-r).  Conjugating by
-an arbitrary automorphism f respects that structure, and expanding
-f(finv(T) + q^r * h(finv(T))) by its integral Taylor series leaves only
-the linear term:
+the congruence subgroup becomes a module over R/q^(n-r).  Conjugation by
+an automorphism f follows from Taylor's formula with the divided
+derivatives f^[i] of f (f^[1] = f'):
 
-    f . (T + q^r h) . finv  =  T + q^r * h(finv(T)) * f'(finv(T)).
+    f . (T + q^w h) . finv  =  T + sum_i q^(w i) * h(finv)^i * f^[i](finv).
 
-``ad`` evaluates the closed form at the residue precision q^(n-r), where
-h and finv are needed, and checks its lift c by the defining equation
-c . f = f . g at full precision, computed by composition alone.
-``ad_matrix`` tabulates the induced linear action on a basis of monomial
-corrections, either with coefficients reduced mod q (the graded action,
-well defined for every r >= 1) or with full mod q^(n-r) entries on the
-shape-constrained basis.  Matrices can be computed over an actual
-finite ring or over a generic coefficient ring Z[a, b, c, d, e, 1/b][q],
-and generic matrices specialize to numeric ones entrywise.
-``module_decomposition`` recovers the abelian group structure of the
-congruence subgroup as a direct sum of cyclic pieces R/q^k by computing
-each basis slot's annihilator directly.
+Divided by q^r it is needed only mod q^(n-r), where only the i with
+w i < n survive, and once 2r >= n only the linear term.  ``ad`` and
+``ad_matrix`` invert f once at that residue precision, evaluate the sum
+there, and check each lift c by the defining equation c . f = f . g at
+full precision, computed by composition alone.  ``ad_matrix`` tabulates
+the action on a basis of monomial corrections, either with coefficients
+reduced mod q (the graded action, well defined for every r >= 1) or with
+full mod q^(n-r) entries on the shape-constrained basis, over a finite
+ring or over a generic coefficient ring Z[a, b, c, d, e, 1/b][q] whose
+matrices specialize to numeric ones entrywise.  ``module_decomposition``
+recovers the abelian group structure of the congruence subgroup as a
+direct sum of cyclic pieces R/q^k by rescaling each basis slot's
+correction until it vanishes.
 """
 
 from __future__ import annotations
@@ -54,18 +54,19 @@ from .rings import (
 )
 
 
-def _require_truncated(ring: Ring) -> int:
+def _require_truncated(ring: Ring, r: Optional[int] = None) -> int:
+    """The truncation n of a q-adic ring, checking 1 <= r <= n for a level r."""
     n = ring.truncation
     if n is None or not ring.has_q():
         raise PreconditionFailed("needs a truncated q-adic coefficient ring")
+    if r is not None and not 1 <= r <= n:
+        raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
     return n
 
 
 def check_kernel_element(g: TruncPoly, r: int) -> None:
     """Raise unless g is an automorphism congruent to T mod q^r."""
-    n = _require_truncated(g.ring)
-    if not 1 <= r <= n:
-        raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
+    _require_truncated(g.ring, r)
     if not g.is_automorphism():
         raise NotAnAutomorphism(repr(g))
     have = g.identity_congruence()
@@ -77,9 +78,7 @@ def check_kernel_element(g: TruncPoly, r: int) -> None:
 
 def kernel_element(ring: Ring, r: int, h_coeffs: Sequence) -> TruncPoly:
     """Build T + q^r * (h_0 + h_1 T + ...) from the coefficients of h."""
-    n = _require_truncated(ring)
-    if not 1 <= r <= n:
-        raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
+    _require_truncated(ring, r)
     return _kernel_poly(ring, ring.q_power(r), [ring.pay(c) for c in h_coeffs])
 
 
@@ -107,13 +106,42 @@ def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
     return _kernel_poly(ring, ring.pay(c), (g - identity_map(ring)).raw_coeffs())
 
 
+def _low_inverse(f: TruncPoly, r: int) -> Tuple[TruncPoly, list]:
+    """finv over R/q^(n-r) (R/q at r = n) and there the divided derivatives
+    f^[i] with r*i < n, the only ones the Taylor sum needs."""
+    n = f.ring.truncation
+    f_low = reduce_precision(f, max(n - r, 1))
+    return invert(f_low), [f_low.derivative(i) for i in range(1, -(-n // r))]
+
+
+def _closed_form(u: TruncPoly, terms: Sequence[TruncPoly], w: int, r: int) -> TruncPoly:
+    """k = sum_i q^(w i - r) u^i D_i mod q^(n-r), for w >= r.  With u = h . finv
+    and D_i = f^[i] . finv, f . (T + q^w h) . finv = T + q^r k; with u = h
+    and D_i = f^[i], the same holds for k . finv in place of k."""
+    low, ui, parts = u.ring, u, []
+    for i, d in enumerate(terms, 1):
+        if w * i - r >= low.truncation:
+            break
+        ui = ui * u if i > 1 else u
+        parts.append((ui * d).scale(low.q_power(w * i - r)) if w * i > r else ui * d)
+    return sum(parts[1:], parts[0]) if parts else TruncPoly._raw(low, [])
+
+
+def _check_conjugate(f: TruncPoly, g: TruncPoly, k: TruncPoly, r: int) -> TruncPoly:
+    """The lift c = T + q^r k, once it meets c . f = f . g at full precision."""
+    ring = f.ring
+    c = _kernel_poly(ring, ring.q_power(r), _transport(k.raw_coeffs(), k.ring, ring))
+    if c.compose(f) != f.compose(g):
+        raise AlgebraError("the closed form fails c . f = f . g where its precondition held")
+    return c
+
+
 def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
     """The conjugate f . g . finv of a level-r congruence element g.
 
     Requires 2r >= n so the congruence subgroup is abelian and the
-    closed form applies.  It needs h and finv only mod q^(n-r) and is
-    evaluated there; its lift c must satisfy the defining equation
-    c . f = f . g, checked at full precision by composition alone.
+    closed form T + q^r h(finv) f'(finv) applies.  It is evaluated at
+    the residue precision q^(n-r) and its lift checked by c . f = f . g.
     """
     if f.ring != g.ring:
         raise RingMismatch(f"{f.ring} vs {g.ring}")
@@ -126,20 +154,9 @@ def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
         )
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
-    ring = f.ring
-    # any lift of k to the full ring will do: q^r wipes out the rest, and
-    # all of it at r = n, where R/q stands in for the zero ring R/q^0
-    low = ring.at_precision(max(n - r, 1))
-    f_low = reduce_precision(f, low.truncation)
-    h = TruncPoly._raw(low, _kernel_h(g, r, low))
-    k = (h * f_low.derivative()).compose(invert(f_low))
-    closed = _kernel_poly(ring, ring.q_power(r), _transport(k.raw_coeffs(), low, ring))
-    if closed.compose(f) != f.compose(g):
-        raise AlgebraError(
-            "the abelian-range closed form fails c . f = f . g where its "
-            "precondition held"
-        )
-    return closed
+    finv, derivs = _low_inverse(f, r)  # none at r = n, where c = T
+    h = TruncPoly._raw(finv.ring, _kernel_h(g, r, finv.ring))
+    return _check_conjugate(f, g, _closed_form(h, derivs, r, r).compose(finv), r)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +198,6 @@ class AdjointMatrix(NamedTuple):
     def size(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int):
-        from .rings import RingElem
-
-        return RingElem(self.ring, self.rows[i][j])
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
 
@@ -207,17 +219,15 @@ class AdjointMatrix(NamedTuple):
     @classmethod
     def from_json(cls, j: dict) -> "AdjointMatrix":
         ring = ring_from_descriptor(_field(j, "ring", "matrix"))
+        mode = _field(j, "mode", "matrix", str)
+        spec = _as_spec(_field(j, "subgroup", "matrix", str), mode, ring)
         rows = tuple(
             tuple(ring.payload_from_json(e, "rows") for e in _as(row, list, "row"))
             for row in _field(j, "rows", "matrix", list)
         )
-        return cls(
-            SubgroupSpec.parse(_field(j, "subgroup", "matrix")),
-            _field(j, "mode", "matrix", str),
-            ring,
-            rows,
-            bool(j.get("warning")),
-        )
+        if {len(rows), *map(len, rows)} != {spec.n + 1}:
+            raise PreconditionFailed(f"a matrix on {spec.show()} is square of size {spec.n + 1}")
+        return cls(spec, mode, ring, rows, bool(j.get("warning")))
 
     def render_text(self) -> str:
         ring = self.ring
@@ -238,13 +248,19 @@ class AdjointMatrix(NamedTuple):
         return "\n".join(lines)
 
 
-def _as_spec(spec: Union[SubgroupSpec, str]) -> SubgroupSpec:
+def _as_spec(spec: Union[SubgroupSpec, str], mode: str, ring: Ring) -> SubgroupSpec:
+    """spec, once it names a congruence subgroup with 1 <= r < n and mode
+    is the one ring (of the conjugator or of the entries) implies."""
     if isinstance(spec, str):
         spec = SubgroupSpec.parse(spec)
     if spec.flavor not in ("n", "k"):
         raise PreconditionFailed(
             f"matrix form needs a congruence subgroup, got {spec.show()!r}"
         )
+    if not 1 <= spec.r < spec.n:
+        raise PreconditionFailed(f"congruence level {spec.r} outside 1..{spec.n - 1}")
+    if mode != ("symbolic" if isinstance(ring, SymbolicRing) else "numeric"):
+        raise PreconditionFailed(f"mode {mode!r} does not fit the ring {ring}")
     return spec
 
 
@@ -263,55 +279,44 @@ def ad_matrix(
     still the images of the basis corrections, but only the graded
     flavor "n" is guaranteed multiplicative there; that regime is
     refused unless allow_nonabelian is set, and the result then carries
-    a warning flag.
+    a warning flag.  Column j is the Taylor sum for h = T^j at precision
+    q^(n-r), reduced mod q for flavor "n".  Where conjugation is additive
+    (2r >= n) one equation c . f = f . g checks the sum of the basis
+    corrections; below that range each column is checked on its own.
     """
-    spec = _as_spec(spec)
     ring = f.ring
-    n = _require_truncated(ring)
+    spec = _as_spec(spec, mode, ring)
+    n, r = _require_truncated(ring), spec.r
     if n != spec.n:
-        raise PreconditionFailed(
-            f"ring precision {n} != subgroup precision {spec.n}"
+        raise PreconditionFailed(f"ring precision {n} != subgroup precision {spec.n}")
+    warning = 2 * r < n
+    if warning and not allow_nonabelian:
+        raise NotAbelian(
+            f"level {r} at precision {n} is outside the abelian range; "
+            "pass allow_nonabelian=True to tabulate the action anyway"
         )
-    r = spec.r
-    if not 1 <= r < n:
-        raise PreconditionFailed(f"congruence level {r} outside 1..{n - 1}")
-    symbolic = isinstance(ring, SymbolicRing)
-    if mode == "symbolic" and not symbolic:
-        raise PreconditionFailed("symbolic mode needs a symbolic ring")
-    if mode == "numeric" and symbolic:
-        raise PreconditionFailed("numeric mode got a symbolic ring")
-    if mode not in ("numeric", "symbolic"):
-        raise PreconditionFailed(f"unknown mode {mode!r}")
-    warning = False
-    if 2 * r < n:
-        if not allow_nonabelian:
-            raise NotAbelian(
-                f"level {r} at precision {n} is outside the abelian range; "
-                "pass allow_nonabelian=True to tabulate the action anyway"
-            )
-        warning = True
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
-    entry_ring = ring.at_precision(1 if spec.flavor == "n" else n - r)
-    finv = invert(f)
-    columns = []
+    finv, derivs = _low_inverse(f, r)
+    terms, low = [d.compose(finv) for d in derivs], finv.ring
+    entry_ring = ring.at_precision(1) if spec.flavor == "n" else low
+    checks, columns, power = [], [], TruncPoly._raw(low, [low.one()])
     for j in range(n + 1):
+        power = power * finv if j else power
         w = r if spec.flavor == "n" else max(r, j - 1)
-        g_j = kernel_element(ring, w, [ring.zero()] * j + [ring.one()])
-        col = _kernel_h(f.compose(g_j).compose(finv), r, entry_ring)
-        for extra in col[n + 1 :]:
-            if not entry_ring.is_zero(extra):
-                raise ShapeMismatch(
-                    f"conjugate of the degree-{j} correction leaves the "
-                    f"degree-{n} window"
-                )
-        col = col[: n + 1]
-        col += [entry_ring.zero()] * (n + 1 - len(col))
-        columns.append(col)
-    rows = tuple(
-        tuple(columns[j][i] for j in range(n + 1)) for i in range(n + 1)
-    )
-    return AdjointMatrix(spec, mode, entry_ring, rows, warning)
+        k = _closed_form(power, terms, w, r)
+        checks.append((TruncPoly._raw(ring, [ring.zero()] * j + [ring.q_power(w)]), k))
+        col = _transport(k.raw_coeffs(), low, entry_ring)
+        if not all(map(entry_ring.is_zero, col[n + 1 :])):
+            raise ShapeMismatch(
+                f"conjugate of the degree-{j} correction leaves the degree-{n} window"
+            )
+        columns.append(col[: n + 1] + [entry_ring.zero()] * (n + 1 - len(col)))
+    if not warning:  # additive on an abelian kernel: one equation for the sum
+        checks = [tuple(sum(side[1:], side[0]) for side in zip(*checks))]
+    for g_minus_t, k in checks:  # (g_j - T, k_j)
+        _check_conjugate(f, identity_map(ring) + g_minus_t, k, r)
+    return AdjointMatrix(spec, mode, entry_ring, tuple(zip(*columns)), warning)
 
 
 def universal_element(n: int, degree: Optional[int] = None) -> TruncPoly:
@@ -360,8 +365,8 @@ class ModuleDecomposition(NamedTuple):
     precision n, one slot per monomial correction degree.
 
     orders[j] is the annihilator exponent of the degree-j slot, found by
-    actually rescaling the basis element by growing powers of q until it
-    collapses to the identity.  expected[j] is the closed-form n -
+    actually rescaling the nonzero payloads of the basis correction by
+    growing powers of q until they vanish.  expected[j] is the closed-form n -
     max(r, j-1).  summands lists the nonzero orders largest first, so
     the module reads (+) over k of R/q^summands[k].
     """
@@ -419,27 +424,21 @@ def module_decomposition(ring: Ring, r: Optional[int] = None) -> ModuleDecomposi
                 f"no default level at odd precision {n}; pass r explicitly"
             )
         r = n // 2
-    if not 1 <= r <= n:
-        raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
+    _require_truncated(ring, r)
     if 2 * r < n:
         raise NotAbelian(
             f"level {r} at precision {n}: the subgroup is not a module"
         )
-    ident = identity_map(ring)
-    weights = []
-    orders = []
-    expected = []
-    for j in range(n + 1):
-        w = min(max(r, j - 1), n)
-        weights.append(w)
-        expected.append(n - w)
-        basis = kernel_element(ring, w, [ring.zero()] * j + [ring.one()])
-        check_kernel_element(basis, r)  # once, where scalar_mul would per step
-        correction = (basis - ident).raw_coeffs()
+    weights = tuple(min(max(r, j - 1), n) for j in range(n + 1))
+    ident, orders = identity_map(ring), []
+    for j, w in enumerate(weights):
+        step = TruncPoly._raw(ring, [ring.zero()] * j + [ring.q_power(w)])  # q^w T^j
+        check_kernel_element(ident + step, r)  # once, where scalar_mul would per step
+        correction = [c for c in step.raw_coeffs() if not ring.is_zero(c)]
         k = 0
-        while _kernel_poly(ring, ring.q_power(k), correction) != ident:
+        while any(not ring.is_zero(ring.mul(ring.q_power(k), c)) for c in correction):
             k += 1
             if k > n:
                 raise AlgebraError("annihilator search left the q-adic range")
         orders.append(k)
-    return ModuleDecomposition(n, r, tuple(weights), tuple(orders), tuple(expected))
+    return ModuleDecomposition(n, r, weights, tuple(orders), tuple(n - w for w in weights))

@@ -615,10 +615,11 @@ class TruncPoly:
         self._check(other)
         return TruncPoly._raw(self.ring, _poly_mul(self._c, other._c, self.ring))
 
-    def derivative(self) -> "TruncPoly":
+    def derivative(self, i: int = 1) -> "TruncPoly":
+        """The i-th divided derivative, sum over m of C(m, i) c_m T^(m-i)."""
         ring = self.ring
-        ks = map(ring.from_int, range(1, len(self._c)))
-        return TruncPoly._raw(ring, list(map(ring.mul, ks, self._c[1:])))
+        ks = (ring.from_int(math.comb(m, i)) for m in range(i, len(self._c)))
+        return TruncPoly._raw(ring, list(map(ring.mul, ks, self._c[i:])))
 
     def evaluate(self, x) -> RingElem:
         ring = self.ring

@@ -25,6 +25,7 @@ from affaut.adjoint import (
 )
 from affaut.autgroup import (
     TruncPoly,
+    _kernel_h,
     compose,
     identity_map,
     sample_automorphism,
@@ -38,6 +39,7 @@ from affaut.errors import (
     NotAnAutomorphism,
     PreconditionFailed,
     RingMismatch,
+    ShapeMismatch,
 )
 from affaut.inversion import invert, oracle_invert
 from affaut.rings import (
@@ -375,6 +377,90 @@ def test_ad_matrix_rejections():
         ad_matrix(TruncPoly(ring, [0, 2]), "k:4,2")
 
 
+def _direct_table(f, flavor, r):
+    """ad_matrix by direct conjugation: column j is the h-part of
+    f . g_j . invert(f) for the basis correction g_j, at full precision;
+    "shape" when a column leaves the degree-n window."""
+    ring = f.ring
+    n = ring.truncation
+    entry = ring.at_precision(1 if flavor == "n" else n - r)
+    finv = invert(f)
+    columns = []
+    for j in range(n + 1):
+        w = r if flavor == "n" else max(r, j - 1)
+        g = kernel_element(ring, w, [0] * j + [1])
+        col = _kernel_h(f.compose(g).compose(finv), r, entry)
+        if any(not entry.is_zero(x) for x in col[n + 1 :]):
+            return "shape"
+        columns.append(col[: n + 1] + [entry.zero()] * (n + 1 - len(col)))
+    return entry, tuple(tuple(c[i] for c in columns) for i in range(n + 1))
+
+
+def _corrupted_column(closed_form, column):
+    """_closed_form with q^(n-r-1) T^column added to its result on its
+    column-th call: the lift of the column then moves by q^(n-1) T^column,
+    which changes c . f mod q^n."""
+    calls = []
+
+    def corrupted(u, terms, w, r):
+        k = closed_form(u, terms, w, r)
+        calls.append(None)
+        if len(calls) != column + 1:
+            return k
+        low = k.ring
+        delta = [low.zero()] * column + [low.q_power(low.truncation - 1)]
+        return k + TruncPoly._raw(low, delta)
+
+    return corrupted
+
+
+def test_ad_matrix_differential_against_direct_conjugation(monkeypatch):
+    """On 1000 seeded cases over Z/p^n and F_p[t]/(t^e), both flavors and
+    every level 1..n-1, and on the symbolic universal_element for n <= 5:
+    ad_matrix equals the table of direct conjugations, raises
+    ShapeMismatch exactly where a direct column leaves the window, and
+    with one column of its closed form corrupted raises AlgebraError
+    inside and outside the abelian range."""
+    import affaut.adjoint as adjoint
+
+    rng = random.Random(1818)
+    rings = [IntModRing(p ** n, q=p) for p in (2, 3, 5) for n in range(2, 7)]
+    rings += [TruncSeriesRing("fp", e, p=p) for p in (2, 3) for e in range(2, 7)]
+    cases = []
+    for i in range(1000):
+        ring = rings[i % len(rings)]
+        n = ring.truncation
+        if i % 3:
+            f = _shape_sample(ring, n, rng)
+        else:
+            f = sample_automorphism(ring, rng.randrange(1, n + 2), rng)
+        cases.append((f, rng.choice("nk"), rng.randrange(1, n), "numeric"))
+    for n in range(2, 6):
+        f = universal_element(n)
+        cases += [(f, fl, r, "symbolic") for fl in "nk" for r in range(1, n)]
+    kept = []
+    for f, flavor, r, mode in cases:
+        spec = f"{flavor}:{f.ring.truncation},{r}"
+        want = _direct_table(f, flavor, r)
+        if want == "shape":
+            with pytest.raises(ShapeMismatch):
+                ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
+            continue
+        m = ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
+        assert (m.ring, m.rows) == want
+        assert m.warning == (2 * r < f.ring.truncation)
+        kept.append((f, spec, mode, m.warning))
+    assert len(cases) // 2 < len(kept) < len(cases)
+    closed_form = adjoint._closed_form
+    corrupted = kept[::10] + [case for case in kept if case[2] == "symbolic"]
+    assert {warning for *_, warning in corrupted} == {True, False}
+    for f, spec, mode, _ in corrupted:
+        column = rng.randrange(f.ring.truncation + 1)
+        monkeypatch.setattr(adjoint, "_closed_form", _corrupted_column(closed_form, column))
+        with pytest.raises(AlgebraError, match="closed form"):
+            ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
+
+
 # ---------------------------------------------------------------------------
 # the three frozen symbolic matrices
 
@@ -543,6 +629,31 @@ def test_matrix_json_roundtrip_and_text():
     assert AdjointMatrix.from_json(m2.to_json()) == m2
 
 
+def test_matrix_reader_refuses_a_malformed_shape():
+    """A stored matrix reads back only when it is square of size n + 1
+    for the n of a congruence subgroup with 1 <= r < n, and its mode is
+    the one its entry ring implies; a short row used to read back and
+    break render_text."""
+    good = ad_matrix(TruncPoly(IntModRing(16, q=2), [1, 1]), "k:4,2").to_json()
+    assert AdjointMatrix.from_json(good).render_text()
+    short = json.loads(json.dumps(good))
+    short["rows"][0] = short["rows"][0][:2]
+    bad = [
+        short,
+        good | {"rows": good["rows"][:4]},
+        good | {"rows": [row + ["0"] for row in good["rows"]]},
+        good | {"subgroup": "k:5,2"},
+        good | {"subgroup": "k:4,4"},
+        good | {"subgroup": "a:2"},
+        good | {"subgroup": "full"},
+        good | {"mode": "exact"},
+        good | {"mode": "symbolic"},
+    ]
+    for doc in bad:
+        with pytest.raises(PreconditionFailed):
+            AdjointMatrix.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # module decomposition
 
@@ -596,3 +707,47 @@ def test_module_decomposition_report():
     assert "R/q^2 ^ 4" in text and "R/q" in text
     empty = module_decomposition(IntModRing(16, q=2), 4)
     assert empty.render_text().endswith("0")
+
+
+# (n, r): slot weights and slot orders of module_decomposition, frozen
+# from the route that rescaled whole polynomials; the expected orders and
+# the summands are read off them below
+DECOMPOSITIONS = {
+    (1, 1): ("11", "00"),
+    (2, 1): ("111", "111"),
+    (2, 2): ("222", "000"),
+    (3, 2): ("2222", "1111"),
+    (3, 3): ("3333", "0000"),
+    (4, 2): ("22223", "22221"),
+    (4, 3): ("33333", "11111"),
+    (4, 4): ("44444", "00000"),
+    (5, 3): ("333334", "222221"),
+    (5, 4): ("444444", "111111"),
+    (5, 5): ("555555", "000000"),
+    (6, 3): ("3333345", "3333321"),
+    (6, 4): ("4444445", "2222221"),
+    (6, 5): ("5555555", "1111111"),
+    (6, 6): ("6666666", "0000000"),
+    (7, 4): ("44444456", "33333321"),
+    (7, 5): ("55555556", "22222221"),
+    (7, 6): ("66666666", "11111111"),
+    (7, 7): ("77777777", "00000000"),
+}
+
+
+def test_module_decomposition_frozen():
+    """Every abelian level at precision n <= 7 over Z/p^n, F_p[t]/(t^e),
+    Q[t]/(t^e) and the generic coefficient ring."""
+    for (n, r), (weights, orders) in DECOMPOSITIONS.items():
+        rings = [IntModRing(p ** n, q=p) for p in (2, 3, 5)]
+        rings += [TruncSeriesRing("fp", n, p=p) for p in (2, 3)]
+        rings += [TruncSeriesRing("rationals", n), universal_coefficient_ring(n)]
+        orders = tuple(map(int, orders))
+        for ring in rings:
+            dec = module_decomposition(ring, r)
+            assert dec.weights == tuple(map(int, weights))
+            assert dec.orders == dec.expected == orders
+            assert dec.summands == tuple(k for k in orders if k)
+    assert set(DECOMPOSITIONS) == {
+        (n, r) for n in range(1, 8) for r in range((n + 1) // 2, n + 1)
+    }
