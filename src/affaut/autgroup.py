@@ -73,7 +73,6 @@ from .rings import (
     IntModRing,
     Ring,
     RingElem,
-    SymbolicRing,
     TruncSeriesRing,
     _as,
     _as_int,
@@ -657,13 +656,12 @@ class TruncPoly:
         """Largest r (capped at the truncation exponent) with
         self = T mod q^r."""
         ring = self.ring
-        if not ring.has_q() or ring.truncation is None:
-            raise PreconditionFailed("needs a truncated q-adic ring")
+        n = ring.require_truncated()
         cs = list(self._c)
         if len(cs) < 2:
             cs += [ring.zero()] * (2 - len(cs))
         cs[1] = ring.sub(cs[1], ring.one())
-        return min(ring.truncation, ring.q_val_min(cs))
+        return min(n, ring.q_val_min(cs))
 
     def to_json(self) -> dict:
         return {"coeffs": [self.ring.payload_to_json(c) for c in self._c]}
@@ -683,44 +681,28 @@ def compose(f: TruncPoly, g: TruncPoly) -> TruncPoly:
 
 
 # ---------------------------------------------------------------------------
-# precision transport
+# precision changes
 
 
-def _transport(cs: Sequence, src: Ring, dst: Ring) -> list:
-    """Carry payloads along the canonical map between two precisions of
-    the same ring: reduction, or lifting by canonical representatives."""
-    if isinstance(src, IntModRing) and isinstance(dst, IntModRing):
-        m = dst.m
-        return [a % m for a in cs]
-    if isinstance(src, TruncSeriesRing) and isinstance(dst, TruncSeriesRing):
-        e = dst.e
-        pad = (dst._szero(),) * (e - src.e)
-        return [a[:e] + pad for a in cs]
-    if isinstance(src, SymbolicRing) and isinstance(dst, SymbolicRing):
-        return [dst._norm(dict(a.terms), a.bk) for a in cs]
-    raise RingMismatch(f"cannot transport between {src} and {dst}")
+def _to_precision(f: TruncPoly, k: int, lift: bool) -> TruncPoly:
+    """f carried to precision k by Ring.transport: a lift (k >= n) or a
+    reduction (k <= n) from the precision n of its ring."""
+    src = f.ring
+    n = src.require_truncated()
+    if (k < n) if lift else (k > n):
+        raise PreconditionFailed(f"cannot {'lift' if lift else 'reduce'} from q^{n} to q^{k}")
+    dst = src.at_precision(k)
+    return TruncPoly._raw(dst, src.transport(f._c, dst))
 
 
 def reduce_precision(f: TruncPoly, m: int) -> TruncPoly:
     """Push f along R/q^n -> R/q^m (m <= n)."""
-    src = f.ring
-    if src.truncation is None:
-        raise PreconditionFailed("source ring is not truncated")
-    if m > src.truncation:
-        raise PreconditionFailed("cannot reduce upward")
-    dst = src.at_precision(m)
-    return TruncPoly._raw(dst, _transport(f._c, src, dst))
+    return _to_precision(f, m, lift=False)
 
 
 def lift_precision(f: TruncPoly, n: int) -> TruncPoly:
     """Lift f along canonical representatives to precision n >= current."""
-    src = f.ring
-    if src.truncation is None:
-        raise PreconditionFailed("source ring is not truncated")
-    if n < src.truncation:
-        raise PreconditionFailed("cannot lift downward")
-    dst = src.at_precision(n)
-    return TruncPoly._raw(dst, _transport(f._c, src, dst))
+    return _to_precision(f, n, lift=True)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +724,7 @@ def _kernel_h(g: TruncPoly, r: int, dst: Ring) -> list:
     ring = g.ring
     cs = list(g._c) + [ring.zero()] * (2 - len(g._c))
     cs[1] = ring.sub(cs[1], ring.one())
-    return _transport([ring.exact_div_q(c, r) for c in cs], ring, dst)
+    return ring.transport([ring.exact_div_q(c, r) for c in cs], dst)
 
 
 def _commutation_probe(
@@ -949,9 +931,7 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
     if not f.is_automorphism():
         raise NotAnAutomorphism(repr(f))
     if spec.flavor == "atilde":
-        n = ring.truncation
-        if n is None:
-            raise PreconditionFailed("atilde needs a truncated ring")
+        n = ring.require_truncated()
         # deg(f mod q^m) <= d*2^(m-2): q^m divides every coefficient past
         # that index
         d = spec.d
@@ -999,9 +979,7 @@ def sample_filtered(ring: Ring, d: int, rng) -> TruncPoly:
     """Uniform over the degree-filtered subgroup of parameter d (flavor
     "atilde"): the coefficient of T^j carries at least the valuation the
     degree bounds force on it."""
-    n = ring.truncation
-    if n is None or not ring.has_q():
-        raise PreconditionFailed("needs a truncated q-adic ring")
+    n = ring.require_truncated()
     top = d * (1 << (n - 2)) if n >= 2 else d
     coeffs = [ring.rand(rng), ring.rand_unit(rng)]
     qv = [ring.q_power(v) for v in range(n + 1)]
@@ -1035,9 +1013,9 @@ def sample_kernel_element(ring: Ring, r: int, deg_cap: int, rng) -> TruncPoly:
 def nd_element(ring: Ring, coords: Sequence) -> TruncPoly:
     """Build T + q^(d-1) * sum(coords[j] * T^j) over a ring truncated at
     q^d; coords has d+1 entries read mod q."""
-    d = ring.truncation
-    if d is None or len(coords) != d + 1:
-        raise PreconditionFailed("need d+1 coordinates over a q^d-truncated ring")
+    d = ring.require_truncated()
+    if len(coords) != d + 1:
+        raise PreconditionFailed(f"need {d + 1} coordinates over a q^{d}-truncated ring")
     return _kernel_poly(ring, ring.q_power(d - 1), [ring.pay(c) for c in coords])
 
 
@@ -1045,9 +1023,7 @@ def nd_coordinates(f: TruncPoly) -> list:
     """Recover the d+1 coordinates of a slab element; inverse of
     nd_element up to reduction of each coordinate mod q."""
     ring = f.ring
-    d = ring.truncation
-    if d is None:
-        raise PreconditionFailed("needs a q^d-truncated ring")
+    d = ring.require_truncated()
     if f.degree() is not None and f.degree() > d:
         raise ShapeMismatch(f"degree {f.degree()} exceeds {d}")
     if f.identity_congruence() < d - 1:
@@ -1100,7 +1076,7 @@ def _kernel_elements_exhaustive(ring: Ring, r: int, deg_cap: int) -> list:
     before any is listed; more than _EXHAUSTIVE_PAIRS pairs are refused."""
     n = ring.truncation
     if isinstance(ring, IntModRing):
-        ring._need_q()
+        ring.require_truncated()
         hs = range(ring.p ** (n - r))
     elif isinstance(ring, TruncSeriesRing) and ring.p is not None:
         pad = (0,) * r

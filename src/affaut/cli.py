@@ -336,17 +336,15 @@ def _symbolic_conjugator(ring, args) -> ag.TruncPoly:
 
 def _do_ad_matrix(args):
     ring = _ring(args)
-    symbolic = isinstance(ring, rings.SymbolicRing)
     if args.f is not None:
         f = _poly(ring, args.f)
-    elif symbolic:
+    elif isinstance(ring, rings.SymbolicRing):
         f = _symbolic_conjugator(ring, args)
     else:
         raise UsageError("numeric matrices need --f")
     m = adj.ad_matrix(
         f,
         _read(f"--subgroup {args.subgroup}", ag.SubgroupSpec.parse, args.subgroup),
-        mode="symbolic" if symbolic else "numeric",
         allow_nonabelian=args.allow_nonabelian,
     )
     return m.to_json(), m.render_text(), 0

@@ -14,19 +14,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .autgroup import (
-    TruncPoly,
-    _transport,
-    identity_map,
-    lift_precision,
-    reduce_precision,
-)
-from .errors import (
-    KernelMismatch,
-    NoSolution,
-    NotAnAutomorphism,
-    PreconditionFailed,
-)
+from .autgroup import TruncPoly, identity_map, lift_precision, reduce_precision
+from .errors import KernelMismatch, NoSolution, NotAnAutomorphism
 
 
 def _affine_inverse(f: TruncPoly) -> TruncPoly:
@@ -57,11 +46,7 @@ def _descend(f: TruncPoly) -> Tuple[TruncPoly, int]:
     ring = f.ring
     if f.degree() <= 1:
         return _affine_inverse(f), 0
-    n = ring.truncation
-    if n is None:
-        raise PreconditionFailed(
-            "non-affine inversion needs a q-adically truncated ring"
-        )
+    n = ring.require_truncated()
     if 2 * f.identity_congruence() >= n:
         return _negate_about_identity(f), 0
     r = (n + 1) // 2
@@ -108,13 +93,9 @@ def oracle_invert(f: TruncPoly) -> TruncPoly:
     ring = f.ring
     if f.degree() <= 1:
         return _affine_inverse(f)
-    n = ring.truncation
-    if n is None:
-        raise PreconditionFailed(
-            "non-affine inversion needs a q-adically truncated ring"
-        )
+    n = ring.require_truncated()
     residue = ring.at_precision(1)
-    a1i = residue.inv(_transport(f.raw_coeffs()[1:2], ring, residue)[0])
+    a1i = residue.inv(ring.transport(f.raw_coeffs()[1:2], residue)[0])
     g = _affine_inverse(f)
     for k in range(1, n):
         low = ring.at_precision(k + 1)
@@ -127,8 +108,8 @@ def oracle_invert(f: TruncPoly) -> TruncPoly:
                     f"defect has valuation {low.q_val(c)} < {k}; "
                     "the claimed automorphism cannot be inverted"
                 )
-        hs = _transport([low.exact_div_q(c, k) for c in err.raw_coeffs()], low, residue)
-        digit = _transport([residue.mul(h, a1i) for h in hs], residue, ring)
+        hs = low.transport([low.exact_div_q(c, k) for c in err.raw_coeffs()], residue)
+        digit = residue.transport([residue.mul(h, a1i) for h in hs], ring)
         g = g + TruncPoly._raw(ring, digit).scale(ring.q_power(k))
     if f.compose(g) != identity_map(ring):
         raise NoSolution("lifting stalled before full precision")

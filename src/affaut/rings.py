@@ -16,6 +16,17 @@ Four kinds of ring are provided:
   the integers when the distinguished q is an integer prime instead of a
   generator (exact division then acts on the integer coefficients).
 
+The q-adic contract.  A ring is *truncated* when it has a q with q^n = 0;
+``truncation`` is that n, and None when the ring has no q (Z, composite
+Z/m) or its q is not nilpotent (Z with a q, an untruncated symbolic
+ring).  A truncation always comes with a q: ``SymbolicRing`` takes one
+only with a q generator, and Z/m has one only for m a prime power.  The
+filtration, the congruence levels and every precision change rest on
+it, so the other modules ask ``require_truncated`` before using it and
+carry payloads between precisions by ``transport``; only this module
+knows the payload formats.  ``q_val`` is an integer or None: zero has
+valuation n in a truncated ring and None in an untruncated one.
+
 Values are immutable and kept in canonical form, so ``==`` is structural
 equality and every element may be used as a dict key.  All operations are
 pure; nothing here mutates shared state after construction.
@@ -37,9 +48,6 @@ from .errors import (
     RingMismatch,
     TooLarge,
 )
-
-INFINITE_VAL = math.inf
-
 
 # The one checker of outside input: every reader of JSON files and flags
 # goes through it and raises only PreconditionFailed, naming the field.
@@ -221,18 +229,6 @@ def _factorize(m: int, smooth: Optional[int] = None) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t
-
-
 class Ring:
     """Abstract base.  Subclasses provide payload-level arithmetic; the
     thin :class:`RingElem` wrapper adds operator syntax on top."""
@@ -269,7 +265,7 @@ class Ring:
         empty."""
         return all(map(self.is_nilpotent, xs))
 
-    # -- q-adic structure --------------------------------------------------
+    # -- q-adic structure (see the module docstring) ------------------------
 
     @property
     def truncation(self) -> Optional[int]:
@@ -277,25 +273,37 @@ class Ring:
         ring has no q at all."""
         return None
 
+    def require_truncated(self, r: Optional[int] = None) -> int:
+        """The truncation n, checking 1 <= r <= n for a level r."""
+        n = self.truncation
+        if n is None:
+            raise PreconditionFailed(f"{self} is not truncated: it has no q with q^n = 0")
+        if r is not None and not 1 <= r <= n:
+            raise PreconditionFailed(f"congruence level {r} outside 1..{n}")
+        return n
+
+    def transport(self, xs: Sequence, dst: "Ring") -> list:
+        """The payloads xs carried to dst, another precision of this ring,
+        along the canonical map: reduction, or lifting by canonical
+        representatives."""
+        raise RingMismatch(f"cannot transport between {self} and {dst}")
+
     @property
     def nilpotency_index(self) -> Optional[int]:
         """Smallest k with x^k = 0 for every nilpotent x, or None when the
         ring has no nilpotents to speak of."""
         return self.truncation
 
-    def has_q(self) -> bool:
-        return False
-
     def q_power(self, k: int):
         raise PreconditionFailed(f"{self} has no q-adic structure")
 
-    def q_val(self, a) -> Union[int, float]:
+    def q_val(self, a) -> Optional[int]:
         raise PreconditionFailed(f"{self} has no q-adic structure")
 
-    def q_val_min(self, xs: Sequence) -> Union[int, float]:
-        """The smallest q_val over xs; the q_val of zero when xs is
-        empty."""
-        vals = [self.q_val(x) for x in xs]
+    def q_val_min(self, xs: Sequence) -> Optional[int]:
+        """The smallest q_val over xs, zeros skipped where their q_val is
+        None; the q_val of zero when nothing is left."""
+        vals = [v for v in map(self.q_val, xs) if v is not None]
         return min(vals) if vals else self.q_val(self.zero())
 
     def exact_div_q(self, a, k: int):
@@ -455,9 +463,6 @@ class IntegerRing(Ring):
             return a
         raise NotAUnit(f"{a} is not a unit in Z")
 
-    def has_q(self):
-        return self.q is not None
-
     def q_power(self, k: int):
         self._need_q()
         return self.q ** k
@@ -465,7 +470,7 @@ class IntegerRing(Ring):
     def q_val(self, a):
         self._need_q()
         if a == 0:
-            return INFINITE_VAL
+            return None
         v = 0
         q = self.q
         while a % q == 0:
@@ -582,13 +587,10 @@ class IntModRing(Ring):
         return math.gcd(self.radical, *xs) == self.radical
 
     def inv(self, a):
-        g, s, _ = _egcd(a % self.m, self.m)
-        if g != 1:
-            raise NotAUnit(f"{a} is not a unit mod {self.m}")
-        return s % self.m
-
-    def has_q(self):
-        return self.p is not None
+        try:
+            return pow(a, -1, self.m)
+        except ValueError:
+            raise NotAUnit(f"{a} is not a unit mod {self.m}") from None
 
     def _need_q(self):
         if self.p is None:
@@ -617,6 +619,12 @@ class IntModRing(Ring):
     def q_val_min(self, xs):
         # p^k divides every x exactly when it divides their gcd with m
         return self.q_val(math.gcd(self.m, *xs))
+
+    def transport(self, xs, dst):
+        if not isinstance(dst, IntModRing):
+            return super().transport(xs, dst)
+        m = dst.m
+        return [a % m for a in xs]
 
     def exact_div_q(self, a, k: int):
         """Divide the canonical representative by p^k.  The result is only
@@ -798,9 +806,6 @@ class TruncSeriesRing(Ring):
             out[k] = val % self.p if self.base == "fp" else val
         return tuple(out)
 
-    def has_q(self):
-        return True
-
     def q_power(self, k: int):
         z = self._szero()
         one = 1 if self.base == "fp" else _fraction()(1)
@@ -826,6 +831,13 @@ class TruncSeriesRing(Ring):
             raise NotDivisible(f"series has a nonzero coefficient below t^{k}")
         z = self._szero()
         return a[k:] + (z,) * k
+
+    def transport(self, xs, dst):
+        if not isinstance(dst, TruncSeriesRing):
+            return super().transport(xs, dst)
+        e = dst.e
+        pad = (dst._szero(),) * (e - self.e)
+        return [a[:e] + pad for a in xs]
 
     def at_precision(self, k: int) -> "TruncSeriesRing":
         return TruncSeriesRing(self.base, k, self.p)
@@ -1118,9 +1130,6 @@ class SymbolicRing(Ring):
 
     # -- q-adic structure ----------------------------------------------------
 
-    def has_q(self):
-        return self.q is not None
-
     def q_power(self, k: int) -> SymElem:
         if isinstance(self.q, int):
             return self.from_int(self.q ** k)
@@ -1135,7 +1144,7 @@ class SymbolicRing(Ring):
     def q_val(self, a: SymElem):
         if isinstance(self.q, int):
             if not a.terms:
-                return INFINITE_VAL
+                return None
             q = self.q
             best = None
             for c in a.terms.values():
@@ -1151,7 +1160,7 @@ class SymbolicRing(Ring):
         if self.q_idx is None:
             raise PreconditionFailed("no q in this ring")
         if not a.terms:
-            return self.trunc if self.trunc is not None else INFINITE_VAL
+            return self.trunc
         return min(e[self.q_idx] for e in a.terms)
 
     def exact_div_q(self, a: SymElem, k: int) -> SymElem:
@@ -1174,6 +1183,11 @@ class SymbolicRing(Ring):
                 raise NotDivisible(f"term with q-exponent {e[qix]} < {k}")
             out[e[:qix] + (e[qix] - k,) + e[qix + 1:]] = c
         return self._norm(out, a.bk)
+
+    def transport(self, xs, dst):
+        if not isinstance(dst, SymbolicRing):
+            return super().transport(xs, dst)
+        return [dst._norm(dict(a.terms), a.bk) for a in xs]
 
     def at_precision(self, k: int) -> "SymbolicRing":
         if self.q_idx is None:

@@ -359,7 +359,7 @@ def test_criterion_09_frozen_conjugation_matrices_and_specializations():
         points = 0
         for spec, n, degree, allow, fname in jobs:
             f_sym = universal_element(n, degree=degree)
-            m_sym = ad_matrix(f_sym, spec, mode="symbolic", allow_nonabelian=allow)
+            m_sym = ad_matrix(f_sym, spec, allow_nonabelian=allow)
             with open(os.path.join(GOLDEN, fname), encoding="utf-8") as fh:
                 assert m_sym.to_json() == json.load(fh)
             for _ in range(200):

@@ -369,10 +369,6 @@ def test_ad_matrix_rejections():
         ad_matrix(f, "a:3")
     with pytest.raises(PreconditionFailed):
         ad_matrix(f, "k:3,2")  # precision mismatch
-    with pytest.raises(PreconditionFailed):
-        ad_matrix(f, "k:4,2", mode="symbolic")
-    with pytest.raises(PreconditionFailed):
-        ad_matrix(universal_element(4), "k:4,2", mode="numeric")
     with pytest.raises(NotAnAutomorphism):
         ad_matrix(TruncPoly(ring, [0, 2]), "k:4,2")
 
@@ -444,10 +440,10 @@ def test_ad_matrix_differential_against_direct_conjugation(monkeypatch):
         want = _direct_table(f, flavor, r)
         if want == "shape":
             with pytest.raises(ShapeMismatch):
-                ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
+                ad_matrix(f, spec, allow_nonabelian=True)
             continue
-        m = ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
-        assert (m.ring, m.rows) == want
+        m = ad_matrix(f, spec, allow_nonabelian=True)
+        assert (m.ring, m.rows, m.mode) == want + (mode,)
         assert m.warning == (2 * r < f.ring.truncation)
         kept.append((f, spec, mode, m.warning))
     assert len(cases) // 2 < len(kept) < len(cases)
@@ -458,7 +454,33 @@ def test_ad_matrix_differential_against_direct_conjugation(monkeypatch):
         column = rng.randrange(f.ring.truncation + 1)
         monkeypatch.setattr(adjoint, "_closed_form", _corrupted_column(closed_form, column))
         with pytest.raises(AlgebraError, match="closed form"):
-            ad_matrix(f, spec, mode=mode, allow_nonabelian=True)
+            ad_matrix(f, spec, allow_nonabelian=True)
+
+
+def test_ad_matrix_sees_an_error_common_to_every_column(monkeypatch):
+    """The equation on the sum of the basis corrections weighs an error
+    shared by all n + 1 columns by n + 1, which vanishes where
+    (n + 1) q^(n-1) = 0, as over Z/8, F_2[t]/(t^3) and Z/3^5; the second
+    equation, on column 0 alone, still sees it.  With 1 added to
+    coefficient 0 of every column, every table is refused."""
+    import affaut.adjoint as adjoint
+
+    closed_form = adjoint._closed_form
+
+    def shifted(u, terms, w, r):
+        k = closed_form(u, terms, w, r)
+        return k + TruncPoly._raw(k.ring, [k.ring.one()])
+
+    monkeypatch.setattr(adjoint, "_closed_form", shifted)
+    cases = [
+        (TruncPoly(IntModRing(8, q=2), [1, 3, 2]), "k:3,2"),
+        (TruncPoly(TruncSeriesRing("fp", 3, p=2), [(1,), (1, 1), (0, 1)]), "n:3,2"),
+        (TruncPoly(IntModRing(3 ** 5, q=3), [2, 1, 3, 9]), "k:5,4"),
+        (TruncPoly(IntModRing(27, q=3), [1, 2, 3]), "k:3,2"),  # seen by the sum
+    ]
+    for f, spec in cases:
+        with pytest.raises(AlgebraError, match="closed form"):
+            ad_matrix(f, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +513,7 @@ def _affine_action_entries(ring, size):
 
 def test_graded_matrix_precision_3_frozen():
     f = universal_element(3)
-    m = ad_matrix(f, "n:3,1", mode="symbolic", allow_nonabelian=True)
+    m = ad_matrix(f, "n:3,1", allow_nonabelian=True)
     assert m.size == 4
     assert m.ring.truncation == 1
     assert m.rows == _affine_action_entries(m.ring, 4)
@@ -501,7 +523,7 @@ def test_graded_matrix_precision_3_frozen():
 
 def test_graded_matrix_precision_4_frozen():
     f = universal_element(4)
-    m = ad_matrix(f, "n:4,1", mode="symbolic", allow_nonabelian=True)
+    m = ad_matrix(f, "n:4,1", allow_nonabelian=True)
     assert m.size == 5
     assert m.rows == _affine_action_entries(m.ring, 5)
     # the degree-4 coefficient e is invisible mod q, like c and d
@@ -520,7 +542,7 @@ def test_full_kernel_matrix_frozen():
     5x5 matrix with mod q^2 entries, one hand-computed column at a
     time."""
     f = universal_element(4, degree=3)
-    m = ad_matrix(f, "k:4,2", mode="symbolic")
+    m = ad_matrix(f, "k:4,2")
     assert m.size == 5 and not m.warning
     S = m.ring
     assert S.truncation == 2
@@ -591,7 +613,6 @@ def test_symbolic_matrices_specialize_to_numeric():
         m_sym = ad_matrix(
             f_sym,
             spec,
-            mode="symbolic",
             allow_nonabelian=allow,
         )
         for _ in range(20):
@@ -618,7 +639,7 @@ def test_symbolic_matrices_specialize_to_numeric():
 
 def test_matrix_json_roundtrip_and_text():
     f = universal_element(3)
-    m = ad_matrix(f, "n:3,1", mode="symbolic", allow_nonabelian=True)
+    m = ad_matrix(f, "n:3,1", allow_nonabelian=True)
     again = AdjointMatrix.from_json(json.loads(json.dumps(m.to_json())))
     assert again == m
     text = m.render_text()
@@ -627,6 +648,19 @@ def test_matrix_json_roundtrip_and_text():
     ring = IntModRing(16, q=2)
     m2 = ad_matrix(TruncPoly(ring, [1, 1]), "k:4,2")
     assert AdjointMatrix.from_json(m2.to_json()) == m2
+
+
+def test_specialized_matrices_read_back():
+    """A specialization takes the mode of its target ring, so it reads
+    back whether the target is numeric or symbolic."""
+    m = ad_matrix(universal_element(3), "n:3,1", allow_nonabelian=True)
+    sym = universal_coefficient_ring(1)
+    for target, assignment in (
+        (IntModRing(5, q=5), dict(zip("abcdeq", (1, 2, 3, 4, 0, 0)))),
+        (sym, {g: sym.gen(g) for g in "abcdeq"}),
+    ):
+        s = specialize_matrix(m, target, assignment)
+        assert AdjointMatrix.from_json(json.loads(json.dumps(s.to_json()))) == s
 
 
 def test_matrix_reader_refuses_a_malformed_shape():

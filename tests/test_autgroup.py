@@ -39,7 +39,14 @@ from affaut.errors import (
     ShapeMismatch,
     TooLarge,
 )
-from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
+from affaut.inversion import invert, oracle_invert
+from affaut.rings import (
+    IntegerRing,
+    IntModRing,
+    SymbolicRing,
+    TruncSeriesRing,
+    universal_coefficient_ring,
+)
 
 
 # --------------------------------------------------------------------------
@@ -783,11 +790,10 @@ def test_automorphisms_compose_and_sample():
 
 def degree_mod(f, m):
     """Degree of the reduction of f mod q^m, None when that reduction is
-    zero; PreconditionFailed when the ring has no q or m is out of range."""
+    zero; PreconditionFailed when the ring is not truncated or m is out of
+    range."""
     ring = f.ring
-    if not ring.has_q():
-        raise PreconditionFailed(f"{ring} has no q-adic structure")
-    if m < 1 or (ring.truncation is not None and m > ring.truncation):
+    if not 1 <= m <= ring.require_truncated():
         raise PreconditionFailed(f"exponent {m} out of range")
     cs = f.raw_coeffs()
     return max((i for i, c in enumerate(cs) if ring.q_val(c) < m), default=None)
@@ -1339,10 +1345,36 @@ def test_reduce_then_lift_sections():
         assert reduce_precision(lift_precision(down, 5), r) == down
 
 
-def test_reduce_upward_rejected():
-    R = IntModRing(9, q=3)
-    with pytest.raises(PreconditionFailed):
-        reduce_precision(P(R, [0, 1]), 3)
+# Rings without q^n = 0: no q (Z/12), a q that is not nilpotent (Z with
+# q = 2), and the generic ring without a truncation.
+_Z, _Z12, _GENERIC = IntegerRing(q=2), IntModRing(12), universal_coefficient_ring()
+_UNTRUNCATED = (_Z, _Z12, _GENERIC)
+
+
+@pytest.mark.parametrize("call, rings", [
+    (lambda R: identity_map(R).identity_congruence(), _UNTRUNCATED),
+    (lambda R: reduce_precision(identity_map(R), 1), _UNTRUNCATED),
+    (lambda R: lift_precision(identity_map(R), 2), _UNTRUNCATED),
+    (lambda R: member(identity_map(R), SubgroupSpec("atilde", d=2)), _UNTRUNCATED),
+    (lambda R: sample_filtered(R, 2, random.Random(1)), _UNTRUNCATED),
+    (lambda R: nd_element(R, [0, 0, 0]), _UNTRUNCATED),
+    (lambda R: nd_coordinates(identity_map(R)), _UNTRUNCATED),
+    (lambda R: invert(P(R, [0, 1, 6])), (_Z12,)),  # T + 6T^2, 6 nilpotent
+    (lambda R: oracle_invert(P(R, [0, 1, 6])), (_Z12,)),
+    (lambda R: reduce_precision(identity_map(R), 3), (IntModRing(9, q=3),)),
+    (lambda R: lift_precision(identity_map(R), 1), (IntModRing(9, q=3),)),
+], ids=[
+    "identity_congruence", "reduce_precision", "lift_precision", "member-atilde",
+    "sample_filtered", "nd_element", "nd_coordinates", "invert", "oracle_invert",
+    "reduce-upward", "lift-downward",
+])
+def test_truncated_ring_preconditions_refuse(call, rings):
+    """Each entry point that needs q^n = 0 refuses the rings that lack it,
+    and a precision change refuses to go the wrong way, all by
+    PreconditionFailed."""
+    for R in rings:
+        with pytest.raises(PreconditionFailed):
+            call(R)
 
 
 def test_transport_series_ring():

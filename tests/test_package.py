@@ -58,6 +58,23 @@ def test_public_names_are_the_objects_of_their_modules():
     assert set(affaut.__all__) <= set(star)
 
 
+def test_the_q_adic_contract_lives_in_rings():
+    """The truncation check and the precision transport are Ring methods
+    that no ring class overrides or other module copies, and q_val has
+    no infinite value, so the contract cannot fork again."""
+    from affaut import adjoint, autgroup, inversion, rings
+
+    for mod in (autgroup, inversion, adjoint):
+        for name in ("_transport", "_require_truncated", "require_truncated"):
+            assert not hasattr(mod, name), (mod.__name__, name)
+    classes = [c for c in vars(rings).values() if isinstance(c, type) and issubclass(c, rings.Ring)]
+    assert len(classes) == 5
+    for cls in classes:
+        assert not hasattr(cls, "has_q"), cls
+        assert cls is rings.Ring or "require_truncated" not in vars(cls), cls
+    assert not hasattr(rings, "INFINITE_VAL")
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         affaut.no_such_name

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import pathlib
 import random
@@ -205,7 +204,9 @@ def test_integers_exact_division():
     assert Z.elem(12).exact_div_by_q(2) == Z.elem(3)
     with pytest.raises(NotDivisible):
         Z.elem(6).exact_div_by_q(2)
-    assert Z.elem(0).q_valuation() == math.inf
+    assert Z.elem(0).q_valuation() is None
+    assert Z.q_val_min([0, 12, 0]) == 2  # untruncated: zeros are skipped
+    assert Z.q_val_min([0]) is None and Z.q_val_min([]) is None
     assert Z.elem(-8).q_valuation() == 3
     with pytest.raises(NotAUnit):
         Z.elem(2).inv()
