@@ -9,22 +9,23 @@ nilpotent.
 
 Products of coefficient lists go through one per-ring kernel: Kronecker
 substitution over Z/m, bivariate Kronecker substitution over F_p[t]/(t^e),
-and the schoolbook product over Q[t]/(t^e) and symbolic rings.  Every ring
-composes by one baby-step/giant-step routine over that kernel
-(Paterson-Stockmeyer): f splits into blocks of about sqrt(deg f / 2)
-coefficients, each block is evaluated at g from the packed powers of g
-without reduction, and Horner's rule in a power of g joins the blocks.
-Over the schoolbook rings the blocks have one coefficient, which is
-Horner's rule.  Over Z/m two more paths take over: at high degree, an
-expansion around the affine part of a unit-slope inner map with
-nilpotent tail; at low degree, one Horner pass over big integers that
-carry the exact integer coefficients.  The expansion starts from the
-affine composition f(c + uT), a Taylor shift that doubles its block size
-level by level with one packed product per level, and adds the terms of
-the tail: term j is needed only modulo m / gcd(m, d^j), with d the
-common divisor of the tail and m (q^sigma over Z/p^n), so in the
-filtered groups, where high degrees carry high powers of q, those terms
-run at falling precision and stop where the precision runs out.
+and the schoolbook product (_schoolbook) over Q[t]/(t^e) and symbolic
+rings.  The two packed rings compose by one baby-step/giant-step routine
+over their kernel (Paterson-Stockmeyer): f splits into blocks of about
+sqrt(deg f / 2) coefficients, each block is evaluated at g from the
+packed powers of g without reduction, and Horner's rule in a power of g
+joins the blocks.  The schoolbook rings compose in the same routine by
+Horner's rule over _schoolbook.  Over Z/m two more paths take over: at
+high degree, an expansion around the affine part of a unit-slope inner
+map with nilpotent tail; at low degree, one Horner pass over big
+integers that carry the exact integer coefficients.  The expansion
+starts from the affine composition f(c + uT), a Taylor shift that
+doubles its block size level by level with one packed product per
+level, and adds the terms of the tail: term j is needed only modulo
+m / gcd(m, d^j), with d the common divisor of the tail and m (q^sigma
+over Z/p^n), so in the filtered groups, where high degrees carry high
+powers of q, those terms run at falling precision and stop where the
+precision runs out.
 
 A long f over Z/p^n splits q-adically first.  With f = f_lo + p^kf F and
 g = g_lo + p^kg G, where f_lo = f mod p^kf, g_lo = g mod p^kg and
@@ -365,70 +366,30 @@ def _compose_int(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
 # ---------------------------------------------------------------------------
 # the per-ring product kernel and the one general composition
 #
-# A codec turns canonical coefficient lists over one ring into values that
-# add and multiply as the polynomials do, and back: big integers by
-# Kronecker substitution over Z/m and F_p[t]/(t^e), where unpacking reduces,
-# and _Dense lists with the schoolbook product over the other rings.
+# A codec turns canonical coefficient lists over one ring into big integers
+# that add and multiply as the polynomials do, and back, by Kronecker
+# substitution over Z/m and F_p[t]/(t^e); unpacking reduces.  The other
+# rings multiply by _schoolbook.
 
 
-class _Dense:
-    """A coefficient list over a ring with no packed form (Q[t]/(t^e),
-    symbolic rings), with + and * of polynomials; * is the schoolbook
-    product, so it costs len(a)*len(b) ring operations."""
-
-    __slots__ = ("c", "ring")
-
-    def __init__(self, c: Sequence, ring: Ring):
-        self.c = c
-        self.ring = ring
-
-    def _trimmed(self, out: list) -> "_Dense":
-        is_zero = self.ring.is_zero
-        while out and is_zero(out[-1]):
-            out.pop()
-        return _Dense(out, self.ring)
-
-    def __add__(self, other: "_Dense") -> "_Dense":
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(map(self.ring.add, a, b))
-        if len(a) > len(b):  # the top coefficient of a stands
-            out += a[len(b):]
-            return _Dense(out, self.ring)
-        return self._trimmed(out)
-
-    def __mul__(self, other: "_Dense") -> "_Dense":
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        a, b = self.c, other.c
-        if not a or not b:
-            return _Dense([], ring)
-        out = [ring.zero()] * (len(a) + len(b) - 1)
-        top = 0  # out[top:] holds no product yet: store, do not add
-        for i, x in enumerate(a):
-            if ring.is_zero(x):
-                continue
-            for k, y in enumerate(b, i):
-                out[k] = add(out[k], mul(x, y)) if k < top else mul(x, y)
-            top = i + len(b)
-        return self._trimmed(out)
-
-
-def _dense_codec(ring: Ring):
-    """(pack, scalar, unpack) with _Dense values: nothing to pack or
-    reduce."""
-
-    def pack(a: Sequence) -> _Dense:
-        return _Dense(a, ring)
-
-    def scalar(c) -> _Dense:
-        return _Dense([] if ring.is_zero(c) else [c], ring)
-
-    def unpack(x: _Dense, count: int) -> list:
-        return x.c
-
-    return pack, scalar, unpack
+def _schoolbook(a: Sequence, b: Sequence, ring: Ring) -> list:
+    """a*b by the schoolbook product, len(a)*len(b) ring operations, for
+    the rings with no packed form (Q[t]/(t^e), symbolic rings); trailing
+    zeros are trimmed."""
+    if not a or not b:
+        return []
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    out = [ring.zero()] * (len(a) + len(b) - 1)
+    top = 0  # out[top:] holds no product yet: store, do not add
+    for i, x in enumerate(a):
+        if is_zero(x):
+            continue
+        for k, y in enumerate(b, i):
+            out[k] = add(out[k], mul(x, y)) if k < top else mul(x, y)
+        top = i + len(b)
+    while out and is_zero(out[-1]):
+        out.pop()
+    return out
 
 
 def _codec(ring: Ring, terms: int):
@@ -444,7 +405,10 @@ def _codec(ring: Ring, terms: int):
 def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
     if not a or not b:
         return []
-    pack, _, unpack = _codec(ring, min(len(a), len(b))) or _dense_codec(ring)
+    codec = _codec(ring, min(len(a), len(b)))
+    if codec is None:
+        return _schoolbook(a, b, ring)
+    pack, _, unpack = codec
     return unpack(pack(a) * pack(b), len(a) + len(b) - 1)
 
 
@@ -461,10 +425,11 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
     bigint multiply and an unpack, Python work per slot; a composition
     makes about k + len(f)/k of them in place of len(f), and since CPython
     multiplies large integers by Karatsuba, the fewer and larger giant
-    products also cost less in total than Horner's lopsided ones.  A
-    schoolbook product (_Dense) costs len(a)*len(b) ring operations, so
-    the giant steps on g^k alone would cost what Horner's rule costs:
-    those rings take k = 1, which is Horner's rule."""
+    products also cost less in total than Horner's lopsided ones.
+
+    The rings with no codec run Horner's rule over _schoolbook instead:
+    a schoolbook product costs len(a)*len(b) ring operations, so the
+    giant steps on g^k alone would cost what Horner's rule costs."""
     n = len(f)
     if not n:
         return []
@@ -475,7 +440,13 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
     top = (len(g) - 1) * k + 1 if g else 0  # len(g^k) at most
     codec = _codec(ring, top + k)
     if codec is None:
-        k, codec = 1, _dense_codec(ring)
+        res = []
+        for c in reversed(f):
+            res = _schoolbook(res, g, ring)
+            res[:1] = [ring.add(res[0], c)] if res else [c]
+            if ring.is_zero(res[-1]):  # only a lone constant can vanish
+                res.pop()
+        return res
     pack, scalar, unpack = codec
     powers = [None, pack(g)]  # g^j packed, and the length of g^j
     lens = [1, len(g)]
@@ -941,10 +912,12 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
         return True
     if spec.flavor not in ("a", "n", "k"):
         raise PreconditionFailed(f"unknown flavor {spec.flavor!r}")
-    if spec.flavor != "a" and ring.truncation != spec.n:
-        raise PreconditionFailed(
-            f"ring precision {ring.truncation} != subgroup precision {spec.n}"
-        )
+    if spec.flavor != "a":
+        if ring.truncation != spec.n:
+            raise PreconditionFailed(
+                f"ring precision {ring.truncation} != subgroup precision {spec.n}"
+            )
+        ring.require_truncated(spec.r)
     if spec.flavor != "k":
         # the "a"-shape, at degree d for "a" and at the precision n for "n"
         if len(f._c) - 1 > (spec.d if spec.flavor == "a" else spec.n):

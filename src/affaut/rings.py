@@ -23,9 +23,16 @@ ring).  A truncation always comes with a q: ``SymbolicRing`` takes one
 only with a q generator, and Z/m has one only for m a prime power.  The
 filtration, the congruence levels and every precision change rest on
 it, so the other modules ask ``require_truncated`` before using it and
-carry payloads between precisions by ``transport``; only this module
-knows the payload formats.  ``q_val`` is an integer or None: zero has
-valuation n in a truncated ring and None in an untruncated one.
+carry payloads between precisions by ``transport``.  ``q_val`` is an
+integer or None: zero has valuation n in a truncated ring and None in an
+untruncated one.
+
+The payload formats belong to this module, and three are read outside
+it: the integers of Z/m, by the integer kernels of :mod:`affaut.autgroup`
+and by the Witt and Greenberg modules; the terms of a symbolic element,
+which :mod:`affaut.greenberg` reduces mod p; and the coefficient tuples
+of F_p[t]/(t^e), by ``_series_codec``, ``order`` and
+``_kernel_elements_exhaustive`` in :mod:`affaut.autgroup`.
 
 Values are immutable and kept in canonical form, so ``==`` is structural
 equality and every element may be used as a dict key.  All operations are
@@ -37,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -227,6 +235,15 @@ def _factorize(m: int, smooth: Optional[int] = None) -> dict[int, int]:
             d = _rho_divisor(x)
             todo += [d, x // d]
     return dict(sorted(out.items()))
+
+
+def _int_val(a: int, q: int) -> int:
+    """The largest v with q^v | a, for a nonzero integer a."""
+    v = 0
+    while a % q == 0:
+        a //= q
+        v += 1
+    return v
 
 
 class Ring:
@@ -469,14 +486,7 @@ class IntegerRing(Ring):
 
     def q_val(self, a):
         self._need_q()
-        if a == 0:
-            return None
-        v = 0
-        q = self.q
-        while a % q == 0:
-            a //= q
-            v += 1
-        return v
+        return None if a == 0 else _int_val(a, self.q)
 
     def exact_div_q(self, a, k: int):
         self._need_q()
@@ -607,14 +617,7 @@ class IntModRing(Ring):
         as the valuation of zero."""
         self._need_q()
         a %= self.m
-        if a == 0:
-            return self.n
-        v = 0
-        p = self.p
-        while a % p == 0:
-            a //= p
-            v += 1
-        return v
+        return self.n if a == 0 else _int_val(a, self.p)
 
     def q_val_min(self, xs):
         # p^k divides every x exactly when it divides their gcd with m
@@ -675,9 +678,16 @@ def _fraction():
     return Fraction
 
 
+def _identity(c):
+    return c
+
+
 class TruncSeriesRing(Ring):
     """K[t]/(t^e) with K = F_p or K = Q; payloads are coefficient tuples of
-    length e, lowest degree first."""
+    length e, lowest degree first.  The field is fixed once, at
+    construction, as a scalar reduction (mod p over F_p; over Q, where
+    scalars are Fractions, the identity) with the zero and one of K, so
+    the arithmetic has one body for both fields."""
 
     kind = "truncseries"
 
@@ -688,11 +698,17 @@ class TruncSeriesRing(Ring):
             if p is None:
                 raise PreconditionFailed("prime p required for an F_p base")
             _require_prime(p)
+            self._reduce, self._zero, self._one = p.__rmod__, 0, 1
+        else:
+            p = None
+            Fraction = _fraction()
+            self._reduce, self._zero, self._one = _identity, Fraction(0), Fraction(1)
         if e < 1:
             raise PreconditionFailed("truncation order must be positive")
         self.base = base
-        self.p = p if base == "fp" else None
+        self.p = p
         self.e = e
+        self._zeros = (self._zero,) * e
 
     def __eq__(self, other):
         return (
@@ -728,44 +744,28 @@ class TruncSeriesRing(Ring):
         raise PreconditionFailed(f"bad rational scalar {c!r}")
 
     def from_int(self, k: int):
-        z = self._szero()
-        return (self._scalar(k),) + (z,) * (self.e - 1)
-
-    def _szero(self):
-        return 0 if self.base == "fp" else _fraction()(0)
+        return (self._scalar(k),) + self._zeros[1:]
 
     def coerce_payload(self, x):
         if isinstance(x, (tuple, list)):
             cs = [self._scalar(c) for c in x]
-            if len(cs) > self.e:
-                if any(c != 0 for c in cs[self.e:]):
-                    raise PreconditionFailed("series longer than truncation order")
-                cs = cs[: self.e]
-            cs += [self._szero()] * (self.e - len(cs))
-            return tuple(cs)
+            if any(c != 0 for c in cs[self.e:]):
+                raise PreconditionFailed("series longer than truncation order")
+            return tuple(cs[: self.e]) + self._zeros[len(cs):]
         raise PreconditionFailed(f"not a coefficient sequence: {x!r}")
 
     def add(self, a, b):
-        if self.base == "fp":
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(self._reduce, map(operator.add, a, b)))
 
     def sub(self, a, b):
-        if self.base == "fp":
-            p = self.p
-            return tuple((x - y) % p for x, y in zip(a, b))
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(self._reduce, map(operator.sub, a, b)))
 
     def neg(self, a):
-        if self.base == "fp":
-            p = self.p
-            return tuple((-x) % p for x in a)
-        return tuple(-x for x in a)
+        return tuple(map(self._reduce, map(operator.neg, a)))
 
     def mul(self, a, b):
         e = self.e
-        out = [self._szero()] * e
+        out = list(self._zeros)
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -773,10 +773,7 @@ class TruncSeriesRing(Ring):
                 if i + j >= e:
                     break
                 out[i + j] += x * y
-        if self.base == "fp":
-            p = self.p
-            return tuple(c % p for c in out)
-        return tuple(out)
+        return tuple(map(self._reduce, out))
 
     def is_zero(self, a):
         return all(c == 0 for c in a)
@@ -791,27 +788,19 @@ class TruncSeriesRing(Ring):
         """Power-series inversion by the standard recurrence."""
         if a[0] == 0:
             raise NotAUnit("constant term vanishes")
-        e = self.e
-        if self.base == "fp":
-            c0inv = pow(a[0], -1, self.p)
-        else:
-            c0inv = _fraction()(1) / a[0]
-        out = [self._szero()] * e
-        out[0] = c0inv if self.base == "rationals" else c0inv % self.p
-        for k in range(1, e):
-            acc = self._szero()
+        c0inv = pow(a[0], -1, self.p) if self.base == "fp" else self._one / a[0]
+        out = [c0inv]
+        for k in range(1, self.e):
+            acc = self._zero
             for i in range(1, k + 1):
                 acc += a[i] * out[k - i]
-            val = -c0inv * acc
-            out[k] = val % self.p if self.base == "fp" else val
+            out.append(self._reduce(-c0inv * acc))
         return tuple(out)
 
     def q_power(self, k: int):
-        z = self._szero()
-        one = 1 if self.base == "fp" else _fraction()(1)
         if k >= self.e:
-            return (z,) * self.e
-        return (z,) * k + (one,) + (z,) * (self.e - k - 1)
+            return self._zeros
+        return (self._zero,) * k + (self._one,) + (self._zero,) * (self.e - k - 1)
 
     def q_val(self, a):
         for i, c in enumerate(a):
@@ -829,14 +818,13 @@ class TruncSeriesRing(Ring):
     def exact_div_q(self, a, k: int):
         if any(c != 0 for c in a[:k]):
             raise NotDivisible(f"series has a nonzero coefficient below t^{k}")
-        z = self._szero()
-        return a[k:] + (z,) * k
+        return a[k:] + (self._zero,) * k
 
     def transport(self, xs, dst):
         if not isinstance(dst, TruncSeriesRing):
             return super().transport(xs, dst)
         e = dst.e
-        pad = (dst._szero(),) * (e - self.e)
+        pad = dst._zeros[self.e:]
         return [a[:e] + pad for a in xs]
 
     def at_precision(self, k: int) -> "TruncSeriesRing":
@@ -1145,18 +1133,7 @@ class SymbolicRing(Ring):
         if isinstance(self.q, int):
             if not a.terms:
                 return None
-            q = self.q
-            best = None
-            for c in a.terms.values():
-                v = 0
-                c = abs(c)
-                while c % q == 0:
-                    c //= q
-                    v += 1
-                best = v if best is None else min(best, v)
-                if best == 0:
-                    return 0
-            return best
+            return min(_int_val(c, self.q) for c in a.terms.values())
         if self.q_idx is None:
             raise PreconditionFailed("no q in this ring")
         if not a.terms:

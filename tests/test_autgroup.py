@@ -928,6 +928,18 @@ def test_member_kernel_flavors():
         member(f, SubgroupSpec.parse("k:4,2"))
 
 
+def test_member_refuses_congruence_levels_outside_1_to_n():
+    """The identity lies in every congruence subgroup, so a level outside
+    1..n has no false answer: member refuses it, like every other entry
+    point that takes a congruence level."""
+    ident = P(IntModRing(16, q=2), [0, 1])
+    for s in ("k:4,5", "n:4,5", "k:4,0"):
+        with pytest.raises(PreconditionFailed, match="congruence level"):
+            member(ident, SubgroupSpec.parse(s))
+    assert member(ident, SubgroupSpec.parse("k:4,4"))
+    assert member(ident, SubgroupSpec.parse("n:4,1"))
+
+
 def test_subgroup_spec_parse_roundtrip():
     for s in ("full", "a:2", "atilde:4", "n:4,2", "k:6,3"):
         assert SubgroupSpec.parse(s).show() == s

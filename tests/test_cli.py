@@ -601,6 +601,11 @@ def test_exit_codes_and_stderr(tmp_path, capsys):
     fp = write_poly(tmp_path, "bad.json", [0, 3])  # 3 is not a unit mod 9
     code, _, err = run(capsys, "invert", "--ring", "zmod:9:q=3", "--f", fp)
     assert code == 1 and "NotAnAutomorphism" in err
+    ident = write_poly(tmp_path, "t.json", [0, 1])
+    code, out, err = run(
+        capsys, "member", "--ring", "zmod:16:q=2", "--f", ident, "--subgroup", "k:4,5"
+    )
+    assert code == 1 and out == "" and "congruence level 5 outside 1..4" in err
 
 
 def test_out_flag_writes_same_bytes(tmp_path, capsys):

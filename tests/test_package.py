@@ -75,6 +75,17 @@ def test_the_q_adic_contract_lives_in_rings():
     assert not hasattr(rings, "INFINITE_VAL")
 
 
+def test_the_unpacked_rings_have_one_arithmetic():
+    """The schoolbook rings multiply by one function and the series ring
+    fixes its field at construction, so the removed second paths stay
+    gone."""
+    from affaut import autgroup, rings
+
+    for name in ("_Dense", "_dense_codec"):
+        assert not hasattr(autgroup, name), name
+    assert not hasattr(rings.TruncSeriesRing, "_szero")
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         affaut.no_such_name
@@ -106,6 +117,16 @@ print(json.dumps({"status": status, "ran": sorted(ran),
                   "fractions": "fractions" in sys.modules}))
 """
     got = fresh_python(code % (["compose", "--ring", "zmod:81:q=3", "--f", str(f), "--g", str(f)],))
+    assert got == {
+        "status": 0,
+        "ran": ["__init__", "autgroup", "cli", "errors", "rings"],
+        "fractions": False,
+    }
+    # a series ring over F_p composes without loading fractions either
+    series = tmp_path / "s.json"
+    series.write_text(json.dumps({"coeffs": [["1", "2", "0"], ["1", "0", "3"], ["0", "4"]]}))
+    argv = ["compose", "--ring", "tq:5:3", "--f", str(series), "--g", str(series)]
+    got = fresh_python(code % (argv,))
     assert got == {
         "status": 0,
         "ran": ["__init__", "autgroup", "cli", "errors", "rings"],

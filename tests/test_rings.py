@@ -189,6 +189,56 @@ def test_series_inverse_against_geometric_oracle():
     assert x * x.inv() == RQ.elem(1)
 
 
+def test_rational_series_arithmetic_against_list_reference():
+    """Q[t]/(t^e) against truncated list arithmetic written here, for
+    e = 1..5; every scalar of every result is a Fraction."""
+    rng = random.Random(905)
+    zero = Fraction(0)
+
+    def scalar():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def product(a, b, e):
+        out = [zero] * e
+        for i in range(e):
+            for j in range(e - i):
+                out[i + j] += a[i] * b[j]
+        return out
+
+    for e in range(1, 6):
+        R = TruncSeriesRing("rationals", e)
+        one = [Fraction(1)] + [zero] * (e - 1)
+        for _ in range(60):
+            a, b = [scalar() for _ in range(e)], [scalar() for _ in range(e)]
+            k, n = rng.randint(0, e), rng.randint(-6, 6)
+            shifted = [zero] * k + a[:e - k]
+            checks = [
+                (R.add(tuple(a), tuple(b)), [x + y for x, y in zip(a, b)]),
+                (R.sub(tuple(a), tuple(b)), [x - y for x, y in zip(a, b)]),
+                (R.neg(tuple(a)), [-x for x in a]),
+                (R.mul(tuple(a), tuple(b)), product(a, b, e)),
+                (R.q_power(k), [Fraction(int(i == k)) for i in range(e)]),
+                (R.exact_div_q(tuple(shifted), k), a[:e - k] + [zero] * k),
+                (R.from_int(n), [Fraction(n)] + [zero] * (e - 1)),
+            ]
+            if a[0]:
+                inv = R.inv(tuple(a))
+                assert product(a, list(inv), e) == one
+                checks.append((inv, list(inv)))  # for the type of its scalars
+            else:
+                with pytest.raises(NotAUnit):
+                    R.inv(tuple(a))
+            if any(a[:k]):
+                with pytest.raises(NotDivisible):
+                    R.exact_div_q(tuple(a), k)
+            for d in range(1, 7):
+                (moved,) = R.transport([tuple(a)], R.at_precision(d))
+                checks.append((moved, a[:d] + [zero] * (d - e)))
+            for got, want in checks:
+                assert list(got) == want, (e, got, want)
+                assert all(type(c) is Fraction for c in got), (e, got)
+
+
 def test_series_q_structure():
     R = TruncSeriesRing("fp", 4, p=3)
     t2 = R.elem([0, 0, 2, 1])
