@@ -35,6 +35,7 @@ from .autgroup import (
     TruncPoly,
     _kernel_h,
     _kernel_poly,
+    _offset,
     identity_map,
     reduce_precision,
 )
@@ -42,9 +43,7 @@ from .errors import (
     AlgebraError,
     KernelMismatch,
     NotAbelian,
-    NotAnAutomorphism,
     PreconditionFailed,
-    RingMismatch,
     ShapeMismatch,
 )
 from .inversion import invert
@@ -56,9 +55,7 @@ from .rings import (
 def check_kernel_element(g: TruncPoly, r: int) -> None:
     """Raise unless g is an automorphism congruent to T mod q^r."""
     g.ring.require_truncated(r)
-    if not g.is_automorphism():
-        raise NotAnAutomorphism(repr(g))
-    have = g.identity_congruence()
+    have = g.require_automorphism().identity_congruence()
     if have < r:
         raise KernelMismatch(
             f"element agrees with T only to q^{have}, needed q^{r}"
@@ -91,8 +88,14 @@ def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
     out by the q^r in front.
     """
     check_kernel_element(g, r)
-    ring = g.ring
-    return _kernel_poly(ring, ring.pay(c), (g - identity_map(ring)).raw_coeffs())
+    return _kernel_poly(g.ring, g.ring.pay(c), _offset(g))
+
+
+def _require_abelian(n: int, r: int, hint: str = "") -> None:
+    """Refuse a level r outside the abelian range 2r >= n of precision n."""
+    if 2 * r < n:
+        msg = f"level {r} at precision {n} is outside the abelian range 2r >= n"
+        raise NotAbelian(msg + hint)
 
 
 def _low_inverse(f: TruncPoly, r: int) -> Tuple[TruncPoly, list]:
@@ -132,18 +135,11 @@ def ad(f: TruncPoly, g: TruncPoly, r: int) -> TruncPoly:
     closed form T + q^r h(finv) f'(finv) applies.  It is evaluated at
     the residue precision q^(n-r) and its lift checked by c . f = f . g.
     """
-    if f.ring != g.ring:
-        raise RingMismatch(f"{f.ring} vs {g.ring}")
+    f._check(g)
     n = f.ring.require_truncated()
     check_kernel_element(g, r)
-    if 2 * r < n:
-        raise NotAbelian(
-            f"level {r} at precision {n}: conjugation is only a module "
-            "map once 2r >= n"
-        )
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    finv, derivs = _low_inverse(f, r)  # none at r = n, where c = T
+    _require_abelian(n, r)
+    finv, derivs = _low_inverse(f.require_automorphism(), r)  # none at r = n, where c = T
     h = TruncPoly._raw(finv.ring, _kernel_h(g, r, finv.ring))
     return _check_conjugate(f, g, _closed_form(h, derivs, r, r).compose(finv), r)
 
@@ -280,14 +276,9 @@ def ad_matrix(
     if n != spec.n:
         raise PreconditionFailed(f"ring precision {n} != subgroup precision {spec.n}")
     warning = 2 * r < n
-    if warning and not allow_nonabelian:
-        raise NotAbelian(
-            f"level {r} at precision {n} is outside the abelian range; "
-            "pass allow_nonabelian=True to tabulate the action anyway"
-        )
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    finv, derivs = _low_inverse(f, r)
+    if not allow_nonabelian:
+        _require_abelian(n, r, "; pass allow_nonabelian=True to tabulate the action anyway")
+    finv, derivs = _low_inverse(f.require_automorphism(), r)
     terms, low = [d.compose(finv) for d in derivs], finv.ring
     entry_ring = ring.at_precision(1) if spec.flavor == "n" else low
     checks, columns, power = [], [], TruncPoly._raw(low, [low.one()])
@@ -419,10 +410,7 @@ def module_decomposition(ring: Ring, r: Optional[int] = None) -> ModuleDecomposi
             )
         r = n // 2
     ring.require_truncated(r)
-    if 2 * r < n:
-        raise NotAbelian(
-            f"level {r} at precision {n}: the subgroup is not a module"
-        )
+    _require_abelian(n, r)
     weights = tuple(min(max(r, j - 1), n) for j in range(n + 1))
     ident, orders = identity_map(ring), []
     for j, w in enumerate(weights):

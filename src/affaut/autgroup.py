@@ -623,16 +623,17 @@ class TruncPoly:
             return False
         return ring.all_nilpotent(self._c[2:])
 
+    def require_automorphism(self) -> "TruncPoly":
+        """self, once it is an automorphism; NotAnAutomorphism otherwise."""
+        if not self.is_automorphism():
+            raise NotAnAutomorphism(repr(self))
+        return self
+
     def identity_congruence(self) -> int:
         """Largest r (capped at the truncation exponent) with
         self = T mod q^r."""
-        ring = self.ring
-        n = ring.require_truncated()
-        cs = list(self._c)
-        if len(cs) < 2:
-            cs += [ring.zero()] * (2 - len(cs))
-        cs[1] = ring.sub(cs[1], ring.one())
-        return min(n, ring.q_val_min(cs))
+        n = self.ring.require_truncated()
+        return min(n, self.ring.q_val_min(_offset(self)))
 
     def to_json(self) -> dict:
         return {"coeffs": [self.ring.payload_to_json(c) for c in self._c]}
@@ -689,13 +690,19 @@ def _kernel_poly(ring: Ring, gen, hs: Sequence) -> TruncPoly:
     return TruncPoly._raw(ring, cs)
 
 
+def _offset(g: TruncPoly) -> list:
+    """The coefficients of g - T, low degree first, degrees 0 and 1 always present."""
+    ring = g.ring
+    cs = list(g._c) + [ring.zero()] * (2 - len(g._c))
+    cs[1] = ring.sub(cs[1], ring.one())
+    return cs
+
+
 def _kernel_h(g: TruncPoly, r: int, dst: Ring) -> list:
     """The coefficients of (g - T)/q^r, low degree first and carried to
     dst, for g congruent to T mod q^r; degrees 0 and 1 always appear."""
     ring = g.ring
-    cs = list(g._c) + [ring.zero()] * (2 - len(g._c))
-    cs[1] = ring.sub(cs[1], ring.one())
-    return ring.transport([ring.exact_div_q(c, r) for c in cs], dst)
+    return ring.transport([ring.exact_div_q(c, r) for c in _offset(g)], dst)
 
 
 def _commutation_probe(
@@ -752,15 +759,6 @@ def _step_order(f: TruncPoly, cap: int) -> Optional[int]:
     return k
 
 
-def _residue_characteristic(ring: Ring) -> Optional[int]:
-    """p for Z/p^n and F_p[t]/(t^e), 0 for rings of characteristic 0
-    (Q[t]/(t^e), the integers and symbolic rings), None for composite
-    Z/m, which has no q."""
-    if isinstance(ring, (IntModRing, TruncSeriesRing)) and ring.p is not None:
-        return ring.p
-    return None if isinstance(ring, IntModRing) else 0
-
-
 def _affine_order(a: int, b: int, p: int, cap: int) -> Optional[int]:
     """Order of the map a + b*T over F_p, b != 0, or None when it exceeds
     cap: 1 for T, p for the translations, and otherwise the multiplicative
@@ -809,23 +807,18 @@ def order(f: TruncPoly, cap: int = 10 ** 6) -> Optional[int]:
     Composite Z/m has no q: there stepping runs on f itself."""
     if cap < 1:
         raise PreconditionFailed(f"cap must be at least 1, got {cap}")
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    ring = f.ring
-    p = _residue_characteristic(ring)
+    ring = f.require_automorphism().ring
+    p = ring.residue_char
     if p is None:
         return _step_order(f, cap)
     if p:
-        # the residues mod q of the constant and linear coefficients
-        a, b = (x % p if isinstance(x, int) else x[0] for x in f._c[:2])
+        a, b = map(ring.residue, f._c[:2])
         k = _affine_order(a, b, p, cap)
-        if k is None:
-            return None
     else:
         affine = reduce_precision(f, 1) if ring.truncation is not None else f
         k = _step_order(affine, min(cap, 2))
-        if k is None:
-            return None
+    if k is None:
+        return None
     h = _power(f, k)
     ident = identity_map(ring)
     while h != ident:
@@ -896,11 +889,9 @@ def _atilde_valuations(d: int, top: int, n: int) -> tuple:
 
 
 def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
-    ring = f.ring
     if spec.flavor == "full":
         return f.is_automorphism()
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
+    ring = f.require_automorphism().ring
     if spec.flavor == "atilde":
         n = ring.require_truncated()
         # deg(f mod q^m) <= d*2^(m-2): q^m divides every coefficient past
@@ -932,19 +923,11 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
 # sampling
 
 
-def _rand_nilpotent(ring: Ring, rng):
-    if isinstance(ring, IntModRing):
-        return ring.radical * rng.randrange(ring.m // ring.radical) % ring.m
-    if isinstance(ring, TruncSeriesRing):
-        return ring.mul(ring.q_power(1), ring.rand(rng))
-    raise InfiniteCoefficientRing(f"cannot sample nilpotents of {ring}")
-
-
 def sample_automorphism(ring: Ring, max_deg: int, rng) -> TruncPoly:
     """Uniform over automorphisms of degree <= max_deg (constant term free,
     unit linear term, nilpotent higher terms)."""
     coeffs = [ring.rand(rng), ring.rand_unit(rng)]
-    coeffs += [_rand_nilpotent(ring, rng) for _ in range(max_deg - 1)]
+    coeffs += [ring.rand_nilpotent(rng) for _ in range(max_deg - 1)]
     return TruncPoly._raw(ring, coeffs)
 
 
@@ -969,7 +952,8 @@ def sample_filtered(ring: Ring, d: int, rng) -> TruncPoly:
 
 def sample_kernel_element(ring: Ring, r: int, deg_cap: int, rng) -> TruncPoly:
     """Uniform over automorphisms congruent to T mod q^r with degree <=
-    deg_cap."""
+    deg_cap, for a level 1 <= r <= n."""
+    ring.require_truncated(r)
     qr = ring.q_power(r)
     return _kernel_poly(ring, qr, [ring.rand(rng) for _ in range(deg_cap + 1)])
 
@@ -1043,25 +1027,25 @@ _EXHAUSTIVE_PAIRS = 10 ** 6
 
 
 def _kernel_elements_exhaustive(ring: Ring, r: int, deg_cap: int) -> list:
-    """All automorphisms = T mod q^r with degree <= deg_cap, for a finite
-    truncated ring (prime-power or series): T + q^r h for h running over
-    the polynomials with coefficients below q^(n-r).  They are counted
-    before any is listed; more than _EXHAUSTIVE_PAIRS pairs are refused."""
-    n = ring.truncation
-    if isinstance(ring, IntModRing):
-        ring.require_truncated()
-        hs = range(ring.p ** (n - r))
-    elif isinstance(ring, TruncSeriesRing) and ring.p is not None:
-        pad = (0,) * r
-        hs = (digits + pad for digits in itertools.product(range(ring.p), repeat=n - r))
-    else:
+    """All automorphisms = T mod q^r with degree <= deg_cap, for Z/p^n or
+    F_p[t]/(t^e): T + q^r h for h running over the polynomials over
+    R/q^(n-r), lifted by transport.  They are counted before any is
+    listed; more than _EXHAUSTIVE_PAIRS pairs are refused."""
+    p = ring.residue_char
+    if p == 0:
         raise InfiniteCoefficientRing(f"cannot enumerate kernels of {ring}")
-    count = ring.p ** ((n - r) * (deg_cap + 1))
+    n = ring.require_truncated()
+    count = p ** ((n - r) * (deg_cap + 1))
     if count * (count - 1) // 2 > _EXHAUSTIVE_PAIRS:
         raise TooLarge(
             f"{count} kernel elements make more than {_EXHAUSTIVE_PAIRS} "
             "pairs; use the sampled mode"
         )
+    if r < n:
+        low = ring.at_precision(n - r)
+        hs = low.transport(low.elements(), ring)
+    else:
+        hs = [ring.zero()]
     qr = ring.q_power(r)
     return [_kernel_poly(ring, qr, c) for c in itertools.product(hs, repeat=deg_cap + 1)]
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Tuple
 
 from .autgroup import TruncPoly, identity_map, lift_precision, reduce_precision
-from .errors import KernelMismatch, NoSolution, NotAnAutomorphism
+from .autgroup import _kernel_poly, _offset
+from .errors import KernelMismatch, NoSolution
 
 
 def _affine_inverse(f: TruncPoly) -> TruncPoly:
@@ -26,19 +27,10 @@ def _affine_inverse(f: TruncPoly) -> TruncPoly:
     return TruncPoly._raw(ring, [ring.neg(ring.mul(a1i, a0)), a1i])
 
 
-def _negate_about_identity(f: TruncPoly) -> TruncPoly:
-    # inverse of T + q^r h is T - q^r h once 2r >= n
-    ring = f.ring
-    two_t = TruncPoly(ring, [ring.zero(), ring.from_int(2)])
-    return two_t - f
-
-
 def invert_with_depth(f: TruncPoly) -> Tuple[TruncPoly, int]:
     """Inverse together with the number of nested half-precision descents
     taken (0 when a closed form applied immediately)."""
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    return _descend(f)
+    return _descend(f.require_automorphism())
 
 
 def _descend(f: TruncPoly) -> Tuple[TruncPoly, int]:
@@ -47,8 +39,8 @@ def _descend(f: TruncPoly) -> Tuple[TruncPoly, int]:
     if f.degree() <= 1:
         return _affine_inverse(f), 0
     n = ring.require_truncated()
-    if 2 * f.identity_congruence() >= n:
-        return _negate_about_identity(f), 0
+    if 2 * f.identity_congruence() >= n:  # T + q^r h has inverse T - q^r h
+        return _kernel_poly(ring, ring.from_int(-1), _offset(f)), 0
     r = (n + 1) // 2
     sub, depth = _descend(reduce_precision(f, r))
     phi = lift_precision(sub, n)
@@ -73,9 +65,7 @@ def invert(f: TruncPoly) -> TruncPoly:
 def lift_aut(f: TruncPoly, n: int) -> TruncPoly:
     """Canonical-representative lift of an automorphism to precision n; a
     section of reduction, not a homomorphism."""
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    return lift_precision(f, n)
+    return lift_precision(f.require_automorphism(), n)
 
 
 def oracle_invert(f: TruncPoly) -> TruncPoly:
@@ -88,9 +78,7 @@ def oracle_invert(f: TruncPoly) -> TruncPoly:
     defect only mod q^(k+1) and computes the digit in R/q, which keeps
     the candidate's degree at the group's own bound; a defect that
     vanishes there adds no digit.  f(g) = T is checked at the end."""
-    if not f.is_automorphism():
-        raise NotAnAutomorphism(repr(f))
-    ring = f.ring
+    ring = f.require_automorphism().ring
     if f.degree() <= 1:
         return _affine_inverse(f)
     n = ring.require_truncated()

@@ -31,8 +31,9 @@ The payload formats belong to this module, and three are read outside
 it: the integers of Z/m, by the integer kernels of :mod:`affaut.autgroup`
 and by the Witt and Greenberg modules; the terms of a symbolic element,
 which :mod:`affaut.greenberg` reduces mod p; and the coefficient tuples
-of F_p[t]/(t^e), by ``_series_codec``, ``order`` and
-``_kernel_elements_exhaustive`` in :mod:`affaut.autgroup`.
+of F_p[t]/(t^e), by ``_series_codec`` in :mod:`affaut.autgroup`.  What
+the group layer asks of a payload otherwise (its residue mod q, a random
+nilpotent, every element of a finite ring) it asks the ring.
 
 Values are immutable and kept in canonical form, so ``==`` is structural
 equality and every element may be used as a dict key.  All operations are
@@ -251,6 +252,9 @@ class Ring:
     thin :class:`RingElem` wrapper adds operator syntax on top."""
 
     kind: str = "?"
+    # p when R/q = F_p and the kernel of reduction mod q is a p-group
+    # (Z/p^n, F_p[t]/(t^e)); 0 in characteristic 0; None for Z/m with no q
+    residue_char: Optional[int] = 0
 
     # -- element plumbing -------------------------------------------------
 
@@ -416,18 +420,10 @@ class RingElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(type(self.ring)), self.ring.describe(), _freeze(self.value)))
+        return hash((self.ring, self.value))
 
     def __repr__(self):
         return f"{self.ring.show(self.value)}"
-
-
-def _freeze(v):
-    if isinstance(v, dict):
-        return tuple(sorted(v.items()))
-    if isinstance(v, SymElem):
-        return v._key()
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +478,7 @@ class IntegerRing(Ring):
 
     def q_power(self, k: int):
         self._need_q()
+        _as_int(k, "the exponent of q", 0)
         return self.q ** k
 
     def q_val(self, a):
@@ -545,6 +542,7 @@ class IntModRing(Ring):
             raise PreconditionFailed(f"{m} is not a power of {q}")
         split = len(self._factors) == 1
         self.p, self.n = next(iter(self._factors.items())) if split else (None, None)
+        self.residue_char = self.p
         self.radical = 1
         for pp in self._factors:
             self.radical *= pp
@@ -610,6 +608,7 @@ class IntModRing(Ring):
 
     def q_power(self, k: int):
         self._need_q()
+        _as_int(k, "the exponent of q", 0)
         return pow(self.p, k, self.m) if k < self.n else 0
 
     def q_val(self, a):
@@ -643,8 +642,17 @@ class IntModRing(Ring):
         self._need_q()
         return _prime_power_ring(self.p, k)
 
+    def residue(self, a) -> int:
+        return a % self.p
+
+    def elements(self) -> range:
+        return range(self.m)
+
     def rand(self, rng):
         return rng.randrange(self.m)
+
+    def rand_nilpotent(self, rng):
+        return self.radical * rng.randrange(self.m // self.radical) % self.m
 
     def rand_unit(self, rng):
         while True:
@@ -707,6 +715,7 @@ class TruncSeriesRing(Ring):
             raise PreconditionFailed("truncation order must be positive")
         self.base = base
         self.p = p
+        self.residue_char = p or 0
         self.e = e
         self._zeros = (self._zero,) * e
 
@@ -798,6 +807,7 @@ class TruncSeriesRing(Ring):
         return tuple(out)
 
     def q_power(self, k: int):
+        _as_int(k, "the exponent of q", 0)
         if k >= self.e:
             return self._zeros
         return (self._zero,) * k + (self._one,) + (self._zero,) * (self.e - k - 1)
@@ -818,10 +828,10 @@ class TruncSeriesRing(Ring):
     def exact_div_q(self, a, k: int):
         if any(c != 0 for c in a[:k]):
             raise NotDivisible(f"series has a nonzero coefficient below t^{k}")
-        return a[k:] + (self._zero,) * k
+        return a[k:] + self._zeros[:k]
 
     def transport(self, xs, dst):
-        if not isinstance(dst, TruncSeriesRing):
+        if not isinstance(dst, TruncSeriesRing) or dst.p != self.p:
             return super().transport(xs, dst)
         e = dst.e
         pad = dst._zeros[self.e:]
@@ -830,10 +840,21 @@ class TruncSeriesRing(Ring):
     def at_precision(self, k: int) -> "TruncSeriesRing":
         return TruncSeriesRing(self.base, k, self.p)
 
+    def residue(self, a):
+        return a[0]
+
+    def elements(self):
+        if self.base != "fp":
+            raise InfiniteCoefficientRing("cannot list Q[t]/(t^e)")
+        return itertools.product(range(self.p), repeat=self.e)
+
     def rand(self, rng):
         if self.base != "fp":
             raise InfiniteCoefficientRing("cannot sample Q[t]/(t^e) uniformly")
         return tuple(rng.randrange(self.p) for _ in range(self.e))
+
+    def rand_nilpotent(self, rng):
+        return self.mul(self.q_power(1), self.rand(rng))
 
     def rand_unit(self, rng):
         if self.base != "fp":
@@ -931,6 +952,8 @@ class SymbolicRing(Ring):
                 raise PreconditionFailed(f"q generator {q!r} unknown")
             if q == inverted:
                 raise PreconditionFailed("q cannot be the inverted generator")
+        if isinstance(q, int) and q < 2:
+            raise PreconditionFailed("q must be at least 2")
         if trunc is not None and not isinstance(q, str):
             raise PreconditionFailed("truncation requires q to be a generator")
         if trunc is not None and trunc < 1:
@@ -1119,6 +1142,7 @@ class SymbolicRing(Ring):
     # -- q-adic structure ----------------------------------------------------
 
     def q_power(self, k: int) -> SymElem:
+        _as_int(k, "the exponent of q", 0)
         if isinstance(self.q, int):
             return self.from_int(self.q ** k)
         if self.q_idx is None:

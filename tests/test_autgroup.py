@@ -884,8 +884,11 @@ def test_identity_congruence_matches_valuations():
     R = IntModRing(3 ** 5, q=3)
     S = TruncSeriesRing("fp", 4, p=2)
     for _ in range(50):
-        r = rng.randrange(0, 6)
-        f = sample_kernel_element(R, r, rng.randrange(0, 5), rng)
+        r, deg = rng.randrange(0, 6), rng.randrange(0, 5)
+        if r:
+            f = sample_kernel_element(R, r, deg, rng)
+        else:  # T + h, with the draws sample_kernel_element makes at r >= 1
+            f = identity_map(R) + P(R, [R.rand(rng) for _ in range(deg + 1)])
         c = list(f.raw_coeffs()) + [0] * (2 - len(f.raw_coeffs()))
         c[1] -= 1
         want = min(min(R.q_val(x % 243) for x in c), 5)
@@ -938,6 +941,17 @@ def test_member_refuses_congruence_levels_outside_1_to_n():
             member(ident, SubgroupSpec.parse(s))
     assert member(ident, SubgroupSpec.parse("k:4,4"))
     assert member(ident, SubgroupSpec.parse("n:4,1"))
+
+
+def test_sample_kernel_element_refuses_levels_outside_1_to_n():
+    """Like kernel_element, the sampler takes a level 1 <= r <= n only: over
+    Z/16, r = -1 raised ValueError, r = 0 drew a map in no kernel and
+    r = 5 gave T."""
+    R = IntModRing(16, q=2)
+    for r in (-1, 0, 5):
+        with pytest.raises(PreconditionFailed, match="congruence level"):
+            sample_kernel_element(R, r, 3, random.Random(1))
+    assert sample_kernel_element(R, 4, 3, random.Random(1)) == identity_map(R)
 
 
 def test_subgroup_spec_parse_roundtrip():
@@ -1480,6 +1494,19 @@ def test_kernel_of_degree_cap_zero_is_the_translations():
     ok, checked, wit = check_abelian_kernel(R, 2, mode="exhaustive", deg_cap=0)
     assert ok and wit is None
     assert checked == 4 * 3 // 2  # T + 4c for c = 0..3
+
+
+def test_exhaustive_kernel_check_over_series():
+    """F_p[t]/(t^e) takes the exhaustive path of Z/p^n: the elements of
+    R/q^(n-r) carried up to R.  K_2 of F_2[t]/(t^4) at degree cap 1 has 16
+    elements and K_1 a non-commuting pair; K_4 is {T}."""
+    R = TruncSeriesRing("fp", 4, p=2)
+    assert check_abelian_kernel(R, 2, mode="exhaustive", deg_cap=1) == (True, 120, None)
+    ok, checked, (f, g) = check_abelian_kernel(R, 1, mode="exhaustive", deg_cap=1)
+    assert (ok, checked, repr(f), repr(g)) == (False, 155, "(1 + t^2)*T", "t + T")
+    assert check_abelian_kernel(R, 4, mode="exhaustive", deg_cap=1) == (True, 0, None)
+    F3 = TruncSeriesRing("fp", 2, p=3)
+    assert check_abelian_kernel(F3, 1, mode="exhaustive", deg_cap=1) == (True, 36, None)
 
 
 def test_exhaustive_kernel_check_counts_pairs_first():

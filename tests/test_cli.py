@@ -366,6 +366,12 @@ MALFORMED = {
         {"u.json": {"p": 2, "ring": {"kind": "symbolic", "generators": "ab"}, "components": [{}]}},
         "usage error: {path}/u.json: ring generators must be a list, got str",
     ),
+    "symbolic-q-below-2": (
+        ["ghost", "--u", "{path}/u.json"],
+        {"u.json": {"p": 2, "ring": {"kind": "symbolic", "generators": ["x"], "q": "1"},
+                    "components": [{}]}},
+        "usage error: {path}/u.json: q must be at least 2",
+    ),
     "series-coefficient-a-string": (
         ["compose", "--ring", "tq:5:2", "--f", "{path}/t.json", "--g", "{path}/t.json"],
         {"t.json": {"coeffs": ["12", ["1"]]}},

@@ -86,6 +86,21 @@ def test_the_unpacked_rings_have_one_arithmetic():
     assert not hasattr(rings.TruncSeriesRing, "_szero")
 
 
+def test_the_group_layer_asks_the_ring_and_the_map():
+    """The ring questions of autgroup are ring members and the automorphism
+    check and the inverse about T live once, so the removed helpers stay
+    gone."""
+    from affaut import autgroup, inversion, rings
+
+    for mod, name in (
+        (autgroup, "_residue_characteristic"),
+        (autgroup, "_rand_nilpotent"),
+        (inversion, "_negate_about_identity"),
+        (rings, "_freeze"),
+    ):
+        assert not hasattr(mod, name), name
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         affaut.no_such_name

@@ -667,3 +667,75 @@ def test_negative_exponents_are_refused():
             _pow_payload(ring, v, -1)
         with pytest.raises(PreconditionFailed, match="negative power"):
             ring.elem(v) ** -2
+
+
+def test_symbolic_ring_refuses_an_integer_q_below_2():
+    """As IntegerRing does: with q = 1 q_val looped for ever, with q = 0 it
+    divided by zero, and q = -3 was taken as a ring Z[x, q=-3]."""
+    for q in ("1", "0", "-3"):
+        with pytest.raises(PreconditionFailed, match="q must be at least 2"):
+            ring_from_descriptor({"kind": "symbolic", "generators": ["x"], "q": q})
+    with pytest.raises(PreconditionFailed, match="q must be at least 2"):
+        SymbolicRing(("x",), q=1)
+    assert ring_from_descriptor({"kind": "symbolic", "generators": ["x"], "q": "2"}).q == 2
+
+
+def test_series_exact_division_past_the_truncation_is_canonical():
+    """Dividing zero by t^k with k >= e gives the zero of length e, which
+    compares equal to the ring's zero."""
+    R = TruncSeriesRing("fp", 3, p=2)
+    for k in (3, 5):
+        assert R.exact_div_q((0, 0, 0), k) == (0, 0, 0)
+        assert R.elem([0, 0, 0]).exact_div_by_q(k) == R.elem(0)
+    with pytest.raises(NotDivisible):
+        R.exact_div_q((0, 0, 1), 5)
+
+
+def test_series_transport_keeps_the_field():
+    """transport changes the precision only: a change of base field or of
+    p is a RingMismatch, as between rings of different kinds."""
+    F2 = TruncSeriesRing("fp", 3, p=2)
+    for dst in (
+        TruncSeriesRing("rationals", 4),
+        TruncSeriesRing("fp", 4, p=3),
+        IntModRing(8, q=2),
+    ):
+        with pytest.raises(RingMismatch):
+            F2.transport([(1, 0, 1)], dst)
+    with pytest.raises(RingMismatch):
+        TruncSeriesRing("rationals", 2).transport([F2.zero()], F2)
+    assert F2.transport([(1, 0, 1)], TruncSeriesRing("fp", 4, p=2)) == [(1, 0, 1, 0)]
+
+
+def test_q_power_refuses_a_negative_exponent():
+    """Every ring with a q: Z/16 raised ValueError, F_2[t]/(t^3) returned
+    a tuple of length 4, and the integer rings returned a float."""
+    for ring in (
+        IntModRing(16, q=2),
+        TruncSeriesRing("fp", 3, p=2),
+        TruncSeriesRing("rationals", 3),
+        IntegerRing(q=2),
+        SymbolicRing(("x",), q=3),
+        universal_coefficient_ring(trunc=3),
+    ):
+        with pytest.raises(PreconditionFailed, match="exponent of q"):
+            ring.q_power(-1)
+        assert ring.q_power(0) == ring.one()
+
+
+def test_equal_elements_hash_alike():
+    """Equal elements of one ring, built apart, collapse to one in a set,
+    for each ring kind; elements of different rings stay apart."""
+    S = universal_coefficient_ring(trunc=3)
+    F2, Q = TruncSeriesRing("fp", 3, p=2), TruncSeriesRing("rationals", 2)
+    pairs = [
+        (IntegerRing(q=2).elem(12), IntegerRing(q=2).elem(6) * 2),
+        (IntModRing(16, q=2).elem(3), IntModRing(16, q=2).elem(19)),
+        (F2.elem([1, 3]), TruncSeriesRing("fp", 3, p=2).elem([1, 1, 0])),
+        (Q.elem([Fraction(1, 2)]), TruncSeriesRing("rationals", 2).elem(2).inv()),
+        (S.elem(S.gen("a")) * S.elem(S.gen("b")), S.elem(S.gen("b")) * S.elem(S.gen("a"))),
+        (S.elem(S.gen("b")).inv() * S.elem(S.gen("b")), S.elem(1)),
+    ]
+    for x, y in pairs:
+        assert x == y and len({x, y}) == 1
+    assert len({IntModRing(16, q=2).elem(3), IntModRing(32, q=2).elem(3)}) == 2
