@@ -77,20 +77,15 @@ from .rings import (
     TruncSeriesRing,
     _as,
     _as_int,
+    _draws,
     _factorize,
     _field,
+    _trim,
 )
 
 # ---------------------------------------------------------------------------
 # integer coefficient-list helpers (hot path: plain ints, no wrappers)
-
-
-def _int_trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
+#
 # Kronecker substitution: a list of nonnegative ints becomes one big integer
 # with a fixed number of bytes per slot, so one CPython bigint multiply does
 # a whole convolution.  Slots of 1, 2, 4 or 8 bytes go through array and
@@ -131,7 +126,7 @@ def _int_codec(m: int, terms: int):
         return _pack(a, w)
 
     def unpack(n: int, count: int) -> list:
-        return _int_trim([x % m for x in _unpack(n, count, w)])
+        return _trim([x % m for x in _unpack(n, count, w)])
 
     return pack, int, unpack
 
@@ -157,9 +152,7 @@ def _series_codec(p: int, e: int, terms: int):
     def unpack(n: int, count: int) -> list:
         slots = _unpack(n, count * stride, w)
         out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
-        while out and not any(out[-1]):
-            out.pop()
-        return out
+        return _trim(out, ((0,) * e).__eq__)
 
     return pack, scalar, unpack
 
@@ -196,7 +189,13 @@ def _compose_int_exact(f: Sequence[int], g: Sequence[int], m: int, w: int) -> li
     for a in reversed(f):
         acc = acc * pg + a
     count = (len(f) - 1) * (len(g) - 1) + 1
-    return _int_trim([x % m for x in _unpack(acc, count, w)])
+    return _trim([x % m for x in _unpack(acc, count, w)])
+
+
+@functools.lru_cache(maxsize=128)
+def _block_mask(width: int, pairs: int) -> int:
+    """The low `width` bytes of each of `pairs` blocks of 2*width bytes."""
+    return int.from_bytes((b"\xff" * width + bytes(width)) * pairs, "little")
 
 
 def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
@@ -222,14 +221,13 @@ def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
     s = 1
     while True:
         shift = 8 * w * s
-        pairs = -(-n // (2 * s))
-        mask = int.from_bytes((b"\xff" * (w * s) + bytes(w * s)) * pairs, "little")
+        mask = _block_mask(w * s, -(-n // (2 * s)))
         acc = _pack(f, w)
         acc = (acc & mask) + (acc >> shift & mask) * row
         f = [x % m for x in _unpack(acc, n, w)]
         s *= 2
         if s >= n:
-            return _int_trim(f)
+            return _trim(f)
         row = _pack([x % m for x in _unpack(row * row, s + 1, w)], w)
 
 
@@ -254,7 +252,7 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
     c = g[0] if g else 0
     u = g[1] if len(g) > 1 else 0
     base = _affine_compose_int(f, c, u, m)
-    rest = _int_trim([0, 0] + list(g[2:]))
+    rest = _trim([0, 0] + list(g[2:]))
     if not rest or len(f) == 1:
         return base
     uinv = ring.inv(u)
@@ -285,7 +283,7 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
             top -= 1
         if top <= j:
             break
-        t = _int_trim([x % mj for x in t])
+        t = _trim([x % mj for x in t])
         power = _kron_mul([x % mj for x in power], t, mj) if power else t
         if not power:
             break
@@ -294,14 +292,14 @@ def _compose_int_taylor(f: Sequence[int], g: Sequence[int], ring: IntModRing) ->
         hj = [big * (k * b * e % mj) for k, b in zip(binom[j:], base[j:top])]
         acc += _pack(hj, w) * _pack(power, w)
         count = max(count, len(hj) + len(power) - 1)
-    return _int_trim([x % m for x in _unpack(acc, count, w)])
+    return _trim([x % m for x in _unpack(acc, count, w)])
 
 
-# Over Z/p^n an outer map at least this long splits q-adically.  At 257
-# terms the split's own work cost as much as it saved or more: compose at
-# (p, n, d) = (2, 8, 4) took 1.5x and invert at (3, 8, 4) 1.08x the time
-# of the unsplit expansion.
-_SPLIT_LEN = 512
+# Over Z/p^n an outer map at least this long splits q-adically.  On filtered
+# maps of 256 to 511 terms the split took 0.72x to 0.86x the time of the
+# unsplit expansion where it did not decline; of 128 to 255 terms, 1.2x to
+# 1.4x over Z/2^7 to Z/2^9.
+_SPLIT_LEN = 256
 
 
 def _compose_int_split(f: Sequence[int], g: Sequence[int], ring: IntModRing):
@@ -321,26 +319,26 @@ def _compose_int_split(f: Sequence[int], g: Sequence[int], ring: IntModRing):
     if len(g) < _SPLIT_LEN and _slot_width(slot(n - kf)) == _slot_width(slot(n)):
         return None  # nothing long to shorten, no slot to narrow
     qf, qg = p ** kf, p ** kg
-    f_lo = _int_trim([x % qf for x in f])
+    f_lo = _trim([x % qf for x in f])
     if 2 * len(f_lo) > len(f):
         return None
-    g_lo = _int_trim([x % qg for x in g])
+    g_lo = _trim([x % qg for x in g])
     if 2 * len(g_lo) > len(g):
         g_lo = g  # G = 0
     terms = [(_compose_int(f_lo, g_lo, ring), 1)]
     if g_lo is not g:
         low = ring.at_precision(n - kg)
-        d_lo = _int_trim([k * a % low.m for k, a in enumerate(f_lo)][1:])
-        d_at = _compose_int(d_lo, _int_trim([x % low.m for x in g_lo]), low)
+        d_lo = _trim([k * a % low.m for k, a in enumerate(f_lo)][1:])
+        d_at = _compose_int(d_lo, _trim([x % low.m for x in g_lo]), low)
         terms.append((_kron_mul([x // qg for x in g], d_at, low.m), qg))
     low = ring.at_precision(n - kf)
-    hi = _compose_int([x // qf for x in f], _int_trim([x % low.m for x in g]), low)
+    hi = _compose_int([x // qf for x in f], _trim([x % low.m for x in g]), low)
     terms.append((hi, qf))
     # each term is below p^n: one slot holds their sum
     w = _slot_width((3 * ring.m).bit_length())
     count = max(len(t) for t, _ in terms)
     acc = sum(_pack(t, w) * s for t, s in terms)
-    return _int_trim([x % ring.m for x in _unpack(acc, count, w)])
+    return _trim([x % ring.m for x in _unpack(acc, count, w)])
 
 
 def _compose_int(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
@@ -387,9 +385,7 @@ def _schoolbook(a: Sequence, b: Sequence, ring: Ring) -> list:
         for k, y in enumerate(b, i):
             out[k] = add(out[k], mul(x, y)) if k < top else mul(x, y)
         top = i + len(b)
-    while out and is_zero(out[-1]):
-        out.pop()
-    return out
+    return ring.trim(out)
 
 
 def _codec(ring: Ring, terms: int):
@@ -444,8 +440,7 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
         for c in reversed(f):
             res = _schoolbook(res, g, ring)
             res[:1] = [ring.add(res[0], c)] if res else [c]
-            if ring.is_zero(res[-1]):  # only a lone constant can vanish
-                res.pop()
+            res = ring.trim(res)  # only a lone constant can vanish
         return res
     pack, scalar, unpack = codec
     powers = [None, pack(g)]  # g^j packed, and the length of g^j
@@ -483,22 +478,14 @@ class TruncPoly:
     __slots__ = ("ring", "_c")
 
     def __init__(self, ring: Ring, coeffs: Sequence):
-        pays = [ring.pay(c) for c in coeffs]
-        while pays and ring.is_zero(pays[-1]):
-            pays.pop()
         self.ring = ring
-        self._c = tuple(pays)
+        self._c = tuple(ring.trim([ring.pay(c) for c in coeffs]))
 
     @classmethod
     def _raw(cls, ring: Ring, payloads: Sequence) -> "TruncPoly":
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
-        pl = payloads
-        if pl and ring.is_zero(pl[-1]):
-            pl = list(pl)
-            while pl and ring.is_zero(pl[-1]):
-                pl.pop()
-        object.__setattr__(obj, "_c", tuple(pl))
+        object.__setattr__(obj, "_c", tuple(ring.trim(payloads)))
         return obj
 
     def __setattr__(self, k, v):
@@ -882,23 +869,18 @@ def atilde_coefficient_valuation(d: int, j: int, n: int) -> int:
     return min(v, n)
 
 
-@functools.lru_cache(maxsize=64)
-def _atilde_valuations(d: int, top: int, n: int) -> tuple:
-    """atilde_coefficient_valuation(d, j, n) for j = 2..top."""
-    return tuple(atilde_coefficient_valuation(d, j, n) for j in range(2, top + 1))
-
-
 def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
     if spec.flavor == "full":
         return f.is_automorphism()
     ring = f.require_automorphism().ring
     if spec.flavor == "atilde":
         n = ring.require_truncated()
-        # deg(f mod q^m) <= d*2^(m-2): q^m divides every coefficient past
-        # that index
-        d = spec.d
+        # deg(f mod q^m) <= d*2^(m-2) puts the coefficients past d*2^(m-2) in q^m.
+        # The bounds nest: q^m is checked on (d*2^(m-2), d*2^(m-1)], or past at m = n
+        c, d = f._c, spec.d
         for m in range(2, n + 1):
-            if ring.q_val_min(f._c[max(d << (m - 2), 0) + 1:]) < m:
+            lo, hi = max(d << (m - 2), 0) + 1, max(d << (m - 1), 0) + 1 if m < n else None
+            if lo < len(c) and ring.q_val_min(c[lo:hi]) < m:
                 return False
         return True
     if spec.flavor not in ("a", "n", "k"):
@@ -932,21 +914,26 @@ def sample_automorphism(ring: Ring, max_deg: int, rng) -> TruncPoly:
 
 
 def sample_filtered(ring: Ring, d: int, rng) -> TruncPoly:
-    """Uniform over the degree-filtered subgroup of parameter d (flavor
-    "atilde"): the coefficient of T^j carries at least the valuation the
-    degree bounds force on it."""
+    """Uniform over the degree-filtered subgroup of parameter d >= 1 (flavor
+    "atilde"): T^j gets q^v times a draw of ring.rand, v the valuation the
+    degree bounds force on it; one _draws call, on randrange's stream."""
     n = ring.require_truncated()
-    top = d * (1 << (n - 2)) if n >= 2 else d
+    d = _as_int(d, "the subgroup parameter d", 1)
     coeffs = [ring.rand(rng), ring.rand_unit(rng)]
-    qv = [ring.q_power(v) for v in range(n + 1)]
-    vals = _atilde_valuations(d, top, n)
+    # T^j has valuation v on the block lo <= j < hi: 2 <= j <= d for v = 1,
+    # then d*2^(v-2) < j <= d*2^(v-1), up to d*2^(n-2)
+    ends = [(d << v) + 1 for v in range(max(n - 1, 1))]
+    blocks = list(zip(itertools.count(1), [2] + ends, ends))
     if isinstance(ring, IntModRing):
-        # the draws of ring.rand, without a method call per coefficient
-        m, randrange = ring.m, rng.randrange
-        coeffs += [qv[v] * randrange(m) % m for v in vals]
+        p, xs = ring.p, _draws(rng, ring.m, ends[-1] - 2)
+        for v, lo, hi in blocks:  # q^v x mod p^n = (x mod p^(n-v)) p^v
+            r, a = p ** (n - v), p ** v
+            coeffs += [x % r * a for x in xs[lo - 2:hi - 2]]
     else:
-        mul, rand = ring.mul, ring.rand
-        coeffs += [mul(qv[v], rand(rng)) for v in vals]
+        # q^v x over F_p[t]/(t^n) shifts x up by v <= n places
+        xs = tuple(_draws(rng, ring.p, n * (ends[-1] - 2)))
+        for v, lo, hi in blocks:
+            coeffs += [(0,) * v + xs[i:i + n - v] for i in range(n * (lo - 2), n * (hi - 2), n)]
     return TruncPoly._raw(ring, coeffs)
 
 

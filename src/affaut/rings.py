@@ -46,6 +46,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 import sys
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -238,6 +239,29 @@ def _factorize(m: int, smooth: Optional[int] = None) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _draws(rng, n: int, count: int) -> list:
+    """The values, and the rng state, of count calls of rng.randrange(n).
+    For random.Random that is CPython's (3.10 to 3.13) getrandbits of
+    n.bit_length() bits, redrawn while not below n: the accepted terms of
+    one getrandbits stream, taken here in rounds, which never overshoot
+    since c more accepted terms take c or more calls."""
+    if n < 1:
+        raise PreconditionFailed(f"cannot draw from range({n})")
+    if type(rng) is not random.Random:
+        return [rng.randrange(n) for _ in range(count)]
+    k, out = n.bit_length(), []
+    while len(out) < count:
+        out += [x for x in map(rng.getrandbits, itertools.repeat(k, count - len(out))) if x < n]
+    return out
+
+
+def _trim(xs: Sequence, is_zero=operator.not_) -> Sequence:
+    """xs less its trailing zeros, as xs or a slice; takewhile counts them in C."""
+    if xs and is_zero(xs[-1]):
+        return xs[:-len(list(itertools.takewhile(is_zero, reversed(xs))))]
+    return xs
+
+
 def _int_val(a: int, q: int) -> int:
     """The largest v with q^v | a, for a nonzero integer a."""
     v = 0
@@ -280,6 +304,10 @@ class Ring:
 
     def one(self):
         return self.from_int(1)
+
+    def trim(self, xs: Sequence) -> Sequence:
+        """The payloads xs without trailing zeros, by _trim."""
+        return _trim(xs, self.is_zero)
 
     def all_nilpotent(self, xs: Sequence) -> bool:
         """Whether every payload in xs is nilpotent; true when xs is
@@ -486,8 +514,7 @@ class IntegerRing(Ring):
         return None if a == 0 else _int_val(a, self.q)
 
     def exact_div_q(self, a, k: int):
-        self._need_q()
-        d = self.q ** k
+        d = self.q_power(k)
         if a % d:
             raise NotDivisible(f"{a} is not divisible by {self.q}^{k}")
         return a // d
@@ -590,6 +617,8 @@ class IntModRing(Ring):
         # a^k = 0 (mod m) eventually iff every prime of m divides a.
         return a % self.radical == 0
 
+    trim = staticmethod(_trim)  # payloads are canonical: zero is the falsy 0
+
     def all_nilpotent(self, xs):
         # the radical divides every x exactly when it divides their gcd
         return math.gcd(self.radical, *xs) == self.radical
@@ -632,7 +661,7 @@ class IntModRing(Ring):
         """Divide the canonical representative by p^k.  The result is only
         canonical in Z/p^(n-k); callers that care re-reduce there."""
         self._need_q()
-        d = self.p ** k
+        d = self.p ** _as_int(k, "the exponent of q", 0)
         a %= self.m
         if a % d:
             raise NotDivisible(f"{a} is not divisible by {self.p}^{k} mod {self.m}")
@@ -787,6 +816,9 @@ class TruncSeriesRing(Ring):
     def is_zero(self, a):
         return all(c == 0 for c in a)
 
+    def trim(self, xs):
+        return _trim(xs, self._zeros.__eq__)
+
     def is_unit(self, a):
         return a[0] != 0
 
@@ -826,7 +858,7 @@ class TruncSeriesRing(Ring):
         return self.e
 
     def exact_div_q(self, a, k: int):
-        if any(c != 0 for c in a[:k]):
+        if any(a[:_as_int(k, "the exponent of q", 0)]):
             raise NotDivisible(f"series has a nonzero coefficient below t^{k}")
         return a[k:] + self._zeros[:k]
 
@@ -849,9 +881,10 @@ class TruncSeriesRing(Ring):
         return itertools.product(range(self.p), repeat=self.e)
 
     def rand(self, rng):
+        """e draws of rng.randrange(p), by _draws, low degree first."""
         if self.base != "fp":
             raise InfiniteCoefficientRing("cannot sample Q[t]/(t^e) uniformly")
-        return tuple(rng.randrange(self.p) for _ in range(self.e))
+        return tuple(_draws(rng, self.p, self.e))
 
     def rand_nilpotent(self, rng):
         return self.mul(self.q_power(1), self.rand(rng))
@@ -859,8 +892,7 @@ class TruncSeriesRing(Ring):
     def rand_unit(self, rng):
         if self.base != "fp":
             raise InfiniteCoefficientRing("cannot sample Q[t]/(t^e) uniformly")
-        first = rng.randrange(1, self.p)
-        return (first,) + tuple(rng.randrange(self.p) for _ in range(self.e - 1))
+        return (rng.randrange(1, self.p),) + tuple(_draws(rng, self.p, self.e - 1))
 
     def descriptor(self):
         d = {"kind": "truncseries", "base": self.base, "e": self.e}
@@ -1165,6 +1197,7 @@ class SymbolicRing(Ring):
         return min(e[self.q_idx] for e in a.terms)
 
     def exact_div_q(self, a: SymElem, k: int) -> SymElem:
+        _as_int(k, "the exponent of q", 0)
         if isinstance(self.q, int):
             d = self.q ** k
             out = {}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -8,6 +10,7 @@ import pytest
 from affaut.autgroup import (
     SubgroupSpec,
     TruncPoly,
+    atilde_coefficient_valuation,
     check_abelian_kernel,
     compose,
     composition_series,
@@ -784,6 +787,43 @@ def test_automorphisms_compose_and_sample():
             assert compose(f, g).is_automorphism()
 
 
+
+def _sampling_digest(ring, seed):
+    """sha256 prefix of three filtered samples, 20 draws each of rand and
+    rand_unit, and the generator's next 64 bits, from Random(seed)."""
+    rng = random.Random(seed)
+    out = [sample_filtered(ring, d, rng).to_json() for d in (1, 2, 3)]
+    out.append([ring.payload_to_json(ring.rand(rng)) for _ in range(20)])
+    out.append([ring.payload_to_json(ring.rand_unit(rng)) for _ in range(20)])
+    out.append(rng.getrandbits(64))
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+
+
+def test_seeded_sampling_is_frozen():
+    """Seeded samples, and the state they leave the generator in, as
+    drawn one randrange call per scalar."""
+    frozen = {
+        IntModRing(2 ** 10, q=2): ("713590b0e9e508c3", "78ffc2bc378999d3", "185f250b6e262629"),
+        IntModRing(3 ** 6, q=3): ("250a4aeab0282a81", "7bf9a452357c1a56", "11c566207734822a"),
+        IntModRing(5 ** 4, q=5): ("284636846d1b74ae", "ddd2e73b8d35cf6c", "bbb979e6b144a01f"),
+        IntModRing(7, q=7): ("5f77d28928e94b2c", "dec02f5dcc462151", "52931abfbb2723e1"),
+        TruncSeriesRing("fp", 5, p=2): ("caa95fc6a9c167bf", "2e7674fcd5773bf4", "94c762b728124748"),
+        TruncSeriesRing("fp", 4, p=3): ("b329253459aa8ff6", "5292f139e8486d36", "9f366236665f21a4"),
+        TruncSeriesRing("fp", 1, p=5): ("ec71b5a5a8cc25b5", "100c29092db6cac9", "d5c769dee8c1846d"),
+        TruncSeriesRing("fp", 3, p=7): ("c2a59213c137d3eb", "7e3cbce961f1fd43", "4b64eac6a9fab369"),
+    }
+    for ring, digests in frozen.items():
+        assert tuple(_sampling_digest(ring, seed) for seed in (1, 2, 3)) == digests, ring
+
+
+def test_sample_filtered_refuses_d_below_1():
+    """The filtered subgroup of parameter 0 holds no automorphism; a
+    sample used to come back anyway, a map member() rejects."""
+    for ring in (IntModRing(27, q=3), TruncSeriesRing("fp", 3, p=2)):
+        for d in (0, -1):
+            with pytest.raises(PreconditionFailed, match="at least 1"):
+                sample_filtered(ring, d, random.Random(1))
+
 # --------------------------------------------------------------------------
 # degree bookkeeping: a reference for the degree of f mod q^m
 
@@ -878,6 +918,44 @@ def test_member_atilde_matches_degree_bounds():
                 )
                 assert member(f, SubgroupSpec.parse(f"atilde:{dd}")) == want
 
+
+
+def test_member_atilde_one_valuation_short_at_every_block_boundary():
+    """member checks each block (d*2^(m-2), d*2^(m-1)] of coefficients
+    against q^m once.  Against the per-level definition: maps with every
+    coefficient at its least valuation, then one coefficient on either
+    side of each block boundary, and one past the last, a valuation
+    short; and random filtered maps over F_p[t]/(t^e)."""
+    def in_atilde(f, d, n):
+        return all((degree_mod(f, m) or 0) <= d * 2 ** (m - 2) for m in range(2, n + 1))
+
+    rng = random.Random(2201)
+    for ring in (IntModRing(2 ** 5, q=2), IntModRing(3 ** 4, q=3), TruncSeriesRing("fp", 4, p=5)):
+        n = ring.truncation
+        for d in (1, 2, 3):
+            top = d << (n - 2)
+            tight = [ring.zero(), ring.one()] + [
+                ring.q_power(atilde_coefficient_valuation(d, j, n)) for j in range(2, top + 2)
+            ]
+            spec = SubgroupSpec("atilde", d=d)
+            assert member(P(ring, tight), spec) and in_atilde(P(ring, tight), d, n)
+            edges = {j + k for m in range(2, n + 1) for j in [d << (m - 2)] for k in (0, 1)}
+            for j in sorted(edges):
+                v = atilde_coefficient_valuation(d, j, n)
+                if j < 2 or v < 2:
+                    continue  # a valuation short would be no automorphism
+                short = list(tight)
+                short[j] = ring.q_power(v - 1)
+                f = P(ring, short)
+                assert not member(f, spec) and not in_atilde(f, d, n), (ring, d, j)
+            for _ in range(20):
+                c = list(sample_filtered(ring, d, rng).raw_coeffs())
+                i = rng.randrange(2, len(c)) if len(c) > 2 else None
+                if i is not None:
+                    c[i] = ring.add(c[i], ring.q_power(rng.randrange(1, n + 1)))
+                f = P(ring, c)
+                for dd in (0, 1, d, d + 1):
+                    assert member(f, SubgroupSpec("atilde", d=dd)) == in_atilde(f, dd, n)
 
 def test_identity_congruence_matches_valuations():
     rng = random.Random(380)

@@ -189,3 +189,18 @@ print(json.dumps({"loaded_before": loaded, "outs": outs, "scalar": x.ring.payloa
     assert TruncPoly.from_json(R, got["outs"][0]) == compose(g, g)
     assert TruncPoly.from_json(R, got["outs"][1]) == invert(g)
     assert got["scalar"] == ["1", "2", "0"]
+
+
+def test_readme_python_blocks_run_alone():
+    """Each python block of README.md runs by itself in a fresh namespace,
+    so every name it uses is imported in that block."""
+    import contextlib
+    import io
+    import re
+
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) >= 3
+    for i, block in enumerate(blocks):
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

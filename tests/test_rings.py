@@ -22,6 +22,7 @@ from affaut.rings import (
     IntModRing,
     SymbolicRing,
     TruncSeriesRing,
+    _draws,
     _factorize,
     _is_prime,
     _pow_payload,
@@ -707,20 +708,124 @@ def test_series_transport_keeps_the_field():
     assert F2.transport([(1, 0, 1)], TruncSeriesRing("fp", 4, p=2)) == [(1, 0, 1, 0)]
 
 
-def test_q_power_refuses_a_negative_exponent():
-    """Every ring with a q: Z/16 raised ValueError, F_2[t]/(t^3) returned
-    a tuple of length 4, and the integer rings returned a float."""
-    for ring in (
+def _rings_with_q():
+    return (
         IntModRing(16, q=2),
         TruncSeriesRing("fp", 3, p=2),
         TruncSeriesRing("rationals", 3),
         IntegerRing(q=2),
         SymbolicRing(("x",), q=3),
         universal_coefficient_ring(trunc=3),
-    ):
+        universal_coefficient_ring(),
+    )
+
+
+def test_q_power_refuses_a_negative_exponent():
+    """Every ring with a q: Z/16 raised ValueError, F_2[t]/(t^3) returned
+    a tuple of length 4, and the integer rings returned a float."""
+    for ring in _rings_with_q():
         with pytest.raises(PreconditionFailed, match="exponent of q"):
             ring.q_power(-1)
         assert ring.q_power(0) == ring.one()
+
+
+def test_exact_div_q_refuses_a_negative_exponent():
+    """Z/16 and Z with q = 2 returned the float 8.0 for 4 / 2^-1,
+    F_2[t]/(t^3) raised NotDivisible, and the symbolic rings multiplied
+    by q.  Every ring now refuses the exponent as q_power does."""
+    for ring in _rings_with_q():
+        four = ring.from_int(4)
+        for k in (-1, -3):
+            with pytest.raises(PreconditionFailed, match="exponent of q"):
+                ring.exact_div_q(four, k)
+            with pytest.raises(PreconditionFailed, match="exponent of q"):
+                ring.elem(four).exact_div_by_q(k)
+        assert ring.exact_div_q(four, 0) == four
+
+
+# the moduli of the stream test: small, around powers of two (one 32-bit
+# word per getrandbits call up to 32 bits, more past it), and the sizes of
+# the rings the benchmark samples
+_DRAW_MODULI = sorted(
+    {1, 2, 3, 5, 3 ** 10, 5 ** 10, 2 ** 61 - 1, 2 ** 100 + 3}
+    | {2 ** k + e for k in (1, 2, 5, 10, 31, 32, 33, 64) for e in (-1, 0, 1) if 2 ** k + e >= 1}
+)
+
+
+def test_draws_follow_the_randrange_stream():
+    """_draws(rng, n, count) gives the values of count calls of
+    rng.randrange(n) and leaves rng in the same state: for every count
+    0..1025 on four moduli, and for a spread of counts on all of them."""
+    for n in _DRAW_MODULI:
+        every = n in (1, 3, 2 ** 10, 2 ** 100 + 3)
+        ref = random.Random(n)
+        want, after = [], []
+        for _ in range(1026):
+            after.append(random.Random())
+            after[-1].setstate(ref.getstate())
+            want.append(ref.randrange(n))
+        for count in range(1026) if every else (0, 1, 2, 3, 7, 32, 33, 100, 511, 1024, 1025):
+            rng = random.Random(n)
+            assert _draws(rng, n, count) == want[:count], (n, count)
+            assert rng.random() == after[count].random(), (n, count)
+
+
+def test_draws_ask_other_generators_for_randrange():
+    """Only random.Random itself draws by getrandbits; a subclass that
+    replaces random() draws randrange from random(), and _draws follows
+    it there."""
+
+    class FromRandom(random.Random):
+        def random(self):
+            return super().random()
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            self.calls = getattr(self, "calls", 0) + 1
+            return super().getrandbits(k)
+
+    # random() carries 53 bits: FromRandom draws below 2^53 only
+    for cls, moduli in ((FromRandom, (1, 3, 2 ** 10, 3 ** 10)), (Counting, (1, 3, 2 ** 61 - 1))):
+        for n in moduli:
+            a, b = cls(n), cls(n)
+            assert _draws(a, n, 300) == [b.randrange(n) for _ in range(300)]
+            assert a.random() == b.random()
+    assert _draws(random.Random(5), 3 ** 10, 50) != _draws(FromRandom(5), 3 ** 10, 50)
+
+
+def test_draws_refuse_an_empty_range():
+    """getrandbits(0) is always 0, so a draw below n = 0 would never end."""
+    for rng in (random.Random(1), type("Sub", (random.Random,), {})(1)):
+        for n in (0, -1, -2 ** 70):
+            with pytest.raises(PreconditionFailed, match="range"):
+                _draws(rng, n, 1)
+
+
+def test_trim_matches_the_pop_loop():
+    """Ring.trim against popping trailing zeros one by one, on empty, all
+    zero and untrimmed lists and on lists that end nonzero, for every ring
+    kind, over lists and tuples."""
+    Q3 = TruncSeriesRing("rationals", 3)
+    S = universal_coefficient_ring(trunc=3)
+    cases = (
+        (IntModRing(16, q=2), [0, 3, 0, 8, 0, 0], 5),
+        (IntModRing(12), [0, 11, 0, 6], 0),
+        (IntegerRing(q=2), [0, -2, 7, 0, 0], 0),
+        (TruncSeriesRing("fp", 3, p=5), [(0, 0, 0), (1, 0, 4), (0, 0, 0), (0, 0, 1), (0, 0, 0)], (0, 2, 0)),
+        (Q3, [Q3.zero(), Q3.from_int(3), Q3.zero(), Q3.zero()], Q3.one()),
+        (S, [S.zero(), S.gen("a"), S.zero(), S.zero()], S.gen("q")),
+    )
+    for ring, xs, nonzero in cases:
+        zero = ring.zero()
+        for body in ([], [zero] * 4, xs, xs + [nonzero], [nonzero]):
+            want = list(body)
+            while want and ring.is_zero(want[-1]):
+                want.pop()
+            for seq in (list(body), tuple(body)):
+                out = ring.trim(seq)
+                assert list(out) == want and type(out) is type(seq), (ring, body)
+                if want == list(body):
+                    assert out is seq
 
 
 def test_equal_elements_hash_alike():
