@@ -8,10 +8,11 @@ component sequence [u_0, ..., u_n] has ghost components
 and addition/multiplication are the unique component operations making
 the ghost map a ring homomorphism.  Over p-torsion-free rings (integers,
 integer polynomial rings) the operations are computed directly by
-combining ghosts and back-solving with exact division.  Over Z/p^k the
+combining ghosts and back-solving with exact division.  Over F_p a vector
+of length n+1 is a residue mod p^(n+1) (witt_to_residue, a ring
+isomorphism), combined by one modular add or multiply.  Over other Z/m the
 components are lifted canonically to the integers, combined there, and
-reduced, which evaluates the universal integral laws without ever
-expanding them.
+reduced, which evaluates the universal laws without expanding them.
 
 The universal law polynomials themselves come out of the same engine run
 on symbolic component vectors; they are derived, cached, and checked
@@ -212,9 +213,9 @@ def _reduce_vec(u: WittVec, ring: Ring) -> WittVec:
 
 # the most bits, about p^level * bits(m - 1), the top ghost component of a
 # vector over Z/m holds once lifted to the integers; the integer components
-# of a sum or product grow to that size too.  At the ceiling witt_add and
-# witt_mul of vectors of m - 1 took 1.0-1.5 s over F_2 at level 20 and
-# 2.0-2.6 s over Z/16 at level 18, on one core (Python 3.11).
+# of a sum or product grow to that size too.  Counted k times over Z/p^k,
+# the measure refuses Z/8 at level 18, which took 1.7-2.6 s; at the ceiling,
+# vectors of m - 1 over Z/4 at level 18 took 0.4-1.1 s (Python 3.11, 2 cores).
 _LIFT_BITS = 2 ** 20
 
 
@@ -229,24 +230,24 @@ def _combine(u: WittVec, v: WittVec, op: str) -> WittVec:
             for a, b in zip(gu, gv)
         ]
         return unghost(u.p, ring, joined)
-    if isinstance(ring, IntModRing):
-        bits = (ring.m - 1).bit_length()
-        # p^21 > _LIFT_BITS already, so a capped exponent keeps this cheap
-        if u.p ** min(u.level, 21) * bits > _LIFT_BITS:
-            hint = ""
-            if ring.m == u.p:
-                hint = (
-                    "; over F_p, map both vectors to residues with witt-iso,"
-                    " combine those, and map the result back"
-                )
-            raise TooLarge(
-                f"Witt arithmetic at level {u.level} over Z/m with m of {bits} "
-                f"bits lifts to integers of about {u.p}^{u.level}*{bits} bits, "
-                f"more than {_LIFT_BITS}{hint}"
-            )
-        lifted = _combine(_lift_vec(u), _lift_vec(v), op)
-        return _reduce_vec(lifted, ring)
-    raise PreconditionFailed(f"Witt arithmetic is not defined over {ring}")
+    if not isinstance(ring, IntModRing):
+        raise PreconditionFailed(f"Witt arithmetic is not defined over {ring}")
+    if ring.m == u.p:
+        # over F_p, witt_to_residue is a ring isomorphism onto Z/p^(level+1)
+        x, y = witt_to_residue(u), witt_to_residue(v)
+        z = residue_to_witt(x + y if op == "add" else x * y)
+        return WittVec(u.p, ring, z.components)
+    bits = (ring.m - 1).bit_length()
+    k = ring._factors.get(u.p, 1)
+    # p^21 > _LIFT_BITS already, so a capped exponent keeps this cheap
+    if u.p ** min(u.level, 21) * bits * k > _LIFT_BITS:
+        raise TooLarge(
+            f"Witt arithmetic at level {u.level} over Z/m with m of {bits} bits "
+            f"lifts to integers of about {u.p}^{u.level}*{bits} bits, counted {k} "
+            f"times for the {u.p}-power part of m, more than {_LIFT_BITS}"
+        )
+    lifted = _combine(_lift_vec(u), _lift_vec(v), op)
+    return _reduce_vec(lifted, ring)
 
 
 def witt_add(u: WittVec, v: WittVec) -> WittVec:

@@ -368,6 +368,98 @@ def test_compose_composite_modulus_scaled_terms_match_schoolbook():
             assert [c.value for c in got.coeffs] == compose_naive(fc, gc, m), m
 
 
+def _slot_moduli(w):
+    """2, 3, 2^k and 2^k +- 1, prime powers and, past 8 bytes, a composite
+    m > 2^64: every modulus whose m - 1 fits the w-byte slot's W - 1 bits."""
+    top = 8 * w - 1
+    ms = {2, 3, 3 ** 4, 5 ** 3, 7 ** 2, 2 ** top, 2 ** top - 1}
+    for k in (2, 3, top // 2, top - 1):
+        ms |= {2 ** k - 1, 2 ** k, 2 ** k + 1}
+    for p in (3, 5, 7, 65521):
+        ms.add(p ** max(1, int(top / math.log2(p))))
+    if w > 8:
+        ms.add(6 ** 30 * 35)
+    return sorted(m for m in ms if m >= 2 and (m - 1).bit_length() <= top)
+
+
+def test_packed_reduction_matches_per_slot_mod():
+    """_mod_slots against x % m on every slot, at 1, 2, 4 and 8 bytes
+    (array slots) and 11 bytes (the bytes path): slots of 0, m - 1, m,
+    multiples of m, 2^(W-1) - 1 and random values below 2^(W-1), in 1, 2,
+    3, 8 and 33 slots."""
+    from affaut.autgroup import _mod_slots, _pack, _unpack, _unpack_mod
+
+    rng = random.Random(450)
+    for w in (1, 2, 4, 8, 11):
+        cap = 2 ** (8 * w - 1)  # every slot is below 2^(W-1)
+        for m in _slot_moduli(w):
+            special = [0, m - 1, m, cap - 1, (cap - 1) // m * m]
+            special += [m * rng.randrange((cap - 1) // m + 1) for _ in range(3)]
+            special = [x for x in special if x < cap]
+            for count in (1, 2, 3, 8, 33):
+                for _ in range(3):
+                    xs = [rng.choice(special) if rng.random() < 0.5 else rng.randrange(cap)
+                          for _ in range(count)]
+                    want = [x % m for x in xs]
+                    got = _mod_slots(_pack(xs, w), count, w, m)
+                    assert list(_unpack(got, count, w)) == want, (w, m, count)
+                    assert _unpack_mod(_pack(xs, w), count, w, m) == _trim(want)
+
+
+def test_every_zmod_slot_width_leaves_the_spare_bit(monkeypatch):
+    """The slot widths keep every slot below 2^(W-1), the bound the packed
+    reduction needs.  _product_slot (the codec, the affine Taylor shift,
+    the expansion) and _exact_slot hold their worst cases with the spare
+    bit at every boundary of their formulas.  Through the routes, with
+    all-(m-1) maps, the largest nilpotent tails, long filtered pairs and
+    a q-adic split over Z/2^30 whose three terms, each below 2^30, sum
+    past 2^31 in some slots, no slot that reaches _mod_slots is larger."""
+    import affaut.autgroup as ag
+    from affaut.autgroup import _compose_int_split, _product_slot
+
+    for bits in range(1, 70):
+        for m in (2 ** bits, 2 ** bits + 1):
+            for b in range(1, 12):
+                for terms in (2 ** b - 1, 2 ** b):
+                    w = _product_slot(m, terms)
+                    assert terms * (m - 1) ** 2 + m - 1 < 2 ** (8 * w - 1), (m, terms)
+            for f_len in range(1, 40):
+                for g_sum in (1, 2 ** bits - 1, 2 ** bits):
+                    w = _exact_slot(f_len, g_sum, m)
+                    assert (m - 1) * f_len * g_sum ** (f_len - 1) < 2 ** (8 * w - 1)
+
+    reduce, seen = ag._mod_slots, set()
+
+    def checked(n, count, w, m):
+        assert max(ag._unpack(n, count, w)) < 2 ** (8 * w - 1), (count, w, m)
+        seen.add(w)
+        return reduce(n, count, w, m)
+
+    monkeypatch.setattr(ag, "_mod_slots", checked)
+    counts = _route_counts(monkeypatch)
+    rng = random.Random(453)
+    for m in (2, 3, 8192, 3 ** 10, 5 ** 10, 2 ** 31, 2 ** 40, 1800, 6 ** 30 * 35):
+        R = IntModRing(m)
+        top = m - R.radical  # the largest nilpotent
+        for lf, lg in ((1, 5), (3, 3), (8, 9), (31, 31), (40, 2), (130, 2), (300, 2)):
+            f = [m - 1] * lf
+            assert _poly_mul(f, [m - 1] * lg, R) == poly_mul_naive(f, [m - 1] * lg, m)
+            for g in ([m - 1] * lg, [m - 1, m - 1] + [top] * (lg - 2)):
+                got = P(R, f).compose(P(R, g))
+                if lf * lg <= 1000:
+                    assert _coeffs(got) == compose_naive(f, _trim(g), m), (m, lf, lg)
+    for p, n, d in ((2, 10, 2), (3, 10, 4), (5, 10, 4), (3, 8, 2)):
+        R = IntModRing(p ** n, q=p)
+        sample_filtered(R, d, rng).compose(sample_filtered(R, d, rng))
+    R = IntModRing(2 ** 30, q=2)
+    fc = [rng.randrange(R.m) for _ in range(100)]
+    fc += [2 ** 19 * rng.randrange(1, 2 ** 11) for _ in range(100, 300)]
+    gc = [rng.randrange(R.m), R.rand_unit(rng)] + [2 ** 15 * rng.randrange(1, 2 ** 15) for _ in range(4)]
+    assert _compose_int_split(fc, gc, R) == compose_naive(fc, gc, R.m)
+    assert all(counts.values()), counts
+    assert seen >= {1, 2, 4, 8} and max(seen) > 8
+
+
 def test_affine_compose_int_matches_schoolbook():
     """f(c + u*T) against the schoolbook composition over Z/p^k and
     composite m, 2^100 included: every length 0..70, where the exact route
@@ -587,6 +679,72 @@ def test_split_agrees_with_the_unsplit_routes_on_1000_cases(monkeypatch):
     split = [ops[k](f, g, r) for k, f, g, r in cases]
     monkeypatch.setattr(ag, "_SPLIT_LEN", 10 ** 9)
     assert [ops[k](f, g, r) for k, f, g, r in cases] == split
+
+
+def _route_counts(monkeypatch):
+    """Counts of the Z/m composition routes run from here on: the exact
+    route through the integers, the level-by-level affine Taylor shift,
+    the expansion around the affine part, a q-adic split that did not
+    decline, and baby steps and giant steps."""
+    import affaut.autgroup as ag
+
+    counts = dict.fromkeys(("exact", "affine levels", "taylor", "split", "bsgs"), 0)
+
+    def counted(name, fn, ran=lambda out: True):
+        def wrapper(*args):
+            out = fn(*args)
+            counts[name] += ran(out)
+            return out
+        return wrapper
+
+    def affine(*args):
+        exact = counts["exact"]
+        out = ag_affine(*args)
+        counts["affine levels"] += counts["exact"] == exact
+        return out
+
+    ag_affine = ag._affine_compose_int
+    for name, attr in (("exact", "_compose_int_exact"), ("taylor", "_compose_int_taylor"),
+                       ("bsgs", "_compose_bsgs")):
+        monkeypatch.setattr(ag, attr, counted(name, getattr(ag, attr)))
+    split = counted("split", ag._compose_int_split, lambda out: out is not None)
+    monkeypatch.setattr(ag, "_compose_int_split", split)
+    monkeypatch.setattr(ag, "_affine_compose_int", affine)
+    return counts
+
+
+def test_zmod_composition_routes_are_frozen(monkeypatch):
+    """Seeded compositions over Z/p^n, p in {2, 3, 5} and n up to 10, and
+    over composite moduli, one of them above 2^64, through every Z/m
+    route, hashed.  The digest was recorded with the per-coefficient
+    reduction (x % m on each unpacked slot) that the packed one replaced,
+    so it ties every route's reduction to that one."""
+    counts = _route_counts(monkeypatch)
+    rng = random.Random(451)
+    outs = []
+    for p in (2, 3, 5):
+        for n in (2, 4, 6, 8, 10):
+            R = IntModRing(p ** n, q=p)
+            for d in (1, 2, 4):
+                f, g = sample_filtered(R, d, rng), sample_filtered(R, d, rng)
+                outs += [f.compose(g), g.compose(f)]
+            f = sample_automorphism(R, rng.randrange(2, 40), rng)
+            outs.append(f.compose(sample_automorphism(R, rng.randrange(1, 6), rng)))
+            fc = [R.rand(rng) for _ in range(rng.randrange(100, 300))]
+            outs.append(P(R, fc).compose(P(R, [R.rand(rng), R.rand_unit(rng)])))
+    for m in (12, 1800, 2 ** 7 * 3 ** 5, 6 ** 30 * 35):
+        R = IntModRing(m)
+        for lf, lg in ((3, 3), (6, 5), (30, 20), (150, 2)):
+            fc = [rng.randrange(m) for _ in range(lf)]
+            gc = [rng.randrange(m) for _ in range(lg)]
+            outs.append(P(R, fc).compose(P(R, gc)))
+            f = sample_automorphism(R, lf, rng)
+            outs.append(f.compose(sample_automorphism(R, lg, rng)))
+    assert all(counts.values()), counts
+    blob = json.dumps([_coeffs(h) for h in outs]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bbd60303400ae3f05eaaf06a505736df29cc10407d2d2ff94a2f6d514f9eb757"
+    )
 
 
 def test_bsgs_compose_series_every_length_matches_schoolbook():

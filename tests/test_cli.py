@@ -213,17 +213,41 @@ def test_witt_iso_lifts_large_levels_by_newton(tmp_path, p, level):
 
 
 def test_witt_add_and_mul_refuse_large_lifts_at_once(tmp_path):
-    """Over F_p, witt-add and witt-mul lift to integers of about
-    p^level * bits(p - 1) bits; past the ceiling they exit 1 with TooLarge
-    and name the witt-iso residue route instead of running for minutes."""
-    for p, level in ((3, 14), (5, 10), (2, 24)):
+    """Over Z/p^k with k > 1, witt-add and witt-mul lift to integers of
+    about p^level * bits(m - 1) bits, and the ceiling counts them k times:
+    Z/8 at level 18 exits 1 with TooLarge at once, where unweighted it
+    passed and took seconds."""
+    vec = tmp_path / "u.json"
+    ring = {"kind": "zmod", "m": "8", "n": 3, "p": "2"}
+    vec.write_text(json.dumps({"p": 2, "ring": ring, "components": ["7"] * 19}))
+    for verb in ("witt-add", "witt-mul"):
+        t0 = time.perf_counter()
+        out = fresh(verb, "--u", str(vec), "--v", str(vec), timeout=10)
+        assert time.perf_counter() - t0 < 2
+        assert out.returncode == 1, (verb, out.stderr)
+        assert out.stderr.startswith("TooLarge:") and "witt-iso" not in out.stderr
+
+
+def test_witt_add_and_mul_over_fp_answer_at_large_levels(tmp_path):
+    """Over F_p, witt-add and witt-mul go through the residues mod
+    p^(level+1): levels whose integer lifts would hold millions of bits
+    answer in a fresh process within 2 s, with the vector of the residue
+    sum or product."""
+    for p, level in ((3, 14), (5, 10), (2, 24), (3, 10000)):
         vec = tmp_path / f"u{p}.json"
         made = fresh("witt-iso", "--value", str(p - 1), "--p", str(p), "--level", str(level), "--out", str(vec))
         assert made.returncode == 0, made.stderr
-        for verb in ("witt-add", "witt-mul"):
+        m = p ** (level + 1)
+        for verb, want in (("witt-add", 2 * (p - 1) % m), ("witt-mul", (p - 1) ** 2 % m)):
+            t0 = time.perf_counter()
             out = fresh(verb, "--u", str(vec), "--v", str(vec), timeout=10)
-            assert out.returncode == 1, (verb, p, level, out.stderr)
-            assert out.stderr.startswith("TooLarge:") and "witt-iso" in out.stderr
+            assert time.perf_counter() - t0 < 2, (verb, p, level)
+            assert out.returncode == 0, (verb, p, level, out.stderr)
+            back = tmp_path / "w.json"
+            back.write_text(out.stdout)
+            res = fresh("witt-iso", "--u", str(back))
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["residue"] == str(want), (verb, p, level)
 
 
 def test_witt_derive_deterministic(capsys):

@@ -297,24 +297,45 @@ def test_mul_frozen_f2():
 
 
 def test_lifted_arithmetic_refuses_past_the_bit_ceiling(monkeypatch):
-    """Over Z/m the components are lifted to Z, where the top ghost
-    component holds about p^level * bits(m - 1) bits; past _LIFT_BITS
-    witt_add and witt_mul refuse before lifting anything."""
-    u = fp_vec(3, [2, 1, 2])  # 3^2 * 2 = 18 bits
-    monkeypatch.setattr(wt, "_LIFT_BITS", 18)
+    """Over Z/m with m not prime the components are lifted to Z, where the
+    top ghost component holds about p^level * bits(m - 1) bits, counted k
+    times over Z/p^k; past _LIFT_BITS witt_add and witt_mul refuse before
+    lifting anything.  Over F_p nothing is lifted: the vectors add and
+    multiply as residues mod p^(level+1), under any ceiling."""
+    u = fp_vec(3, [2, 1, 2])
+    monkeypatch.setattr(wt, "_LIFT_BITS", 1)
     x = int(witt_to_residue(u).value)
     assert witt_to_residue(witt_add(u, u)).value == 2 * x % 27
-    monkeypatch.setattr(wt, "_LIFT_BITS", 17)
+    assert witt_to_residue(witt_mul(u, u)).value == x * x % 27
+    w = WittVec.make(3, IntModRing(9, q=3), [8, 8, 8])  # 3^2 * 4 bits, k = 2
+    monkeypatch.setattr(wt, "_LIFT_BITS", 72)
+    assert witt_add(w, w) == wt._reduce_vec(witt_add(wt._lift_vec(w), wt._lift_vec(w)), w.ring)
+    monkeypatch.setattr(wt, "_LIFT_BITS", 71)
     for op in (witt_add, witt_mul):
-        with pytest.raises(TooLarge, match="witt-iso"):
-            op(u, u)
-    # only F_p components have the residue route
-    w = WittVec.make(3, IntModRing(9, q=3), [8, 8, 8])  # 9 * 4 bits
-    with pytest.raises(TooLarge) as err:
-        witt_add(w, w)
-    assert "witt-iso" not in str(err.value)
+        with pytest.raises(TooLarge) as err:
+            op(w, w)
+        assert "witt-iso" not in str(err.value)
     # torsion-free rings are not lifted, so the ceiling does not apply
     assert witt_add(int_vec(3, [2, 1, 2]), int_vec(3, [0, 0, 0])) == int_vec(3, [2, 1, 2])
+
+
+def test_fp_arithmetic_matches_the_ghost_route_on_1000_cases():
+    """Over F_p witt_add and witt_mul go through the residue isomorphism;
+    the ghost route (lift to Z, combine ghosts, back-solve, reduce) gives
+    the same vectors on random pairs for p in {2, 3, 5, 7} at levels up to
+    8, 7, 4 and 3, where the lifts stay small."""
+    rng = random.Random(461)
+    top = {2: 8, 3: 7, 5: 4, 7: 3}
+    cases = 0
+    for i in range(520):
+        p = (2, 3, 5, 7)[i % 4]
+        level = rng.randint(0, top[p])
+        u, v = (fp_vec(p, [rng.randrange(p) for _ in range(level + 1)]) for _ in "uv")
+        lu, lv = wt._lift_vec(u), wt._lift_vec(v)
+        for op in (witt_add, witt_mul):
+            assert op(u, v) == wt._reduce_vec(op(lu, lv), u.ring), (p, level, op)
+            cases += 1
+    assert cases >= 1000
 
 
 def test_add_zero_is_identity():
