@@ -9,13 +9,14 @@ nilpotent.
 
 Products of coefficient lists go through one per-ring kernel: Kronecker
 substitution over Z/m, bivariate Kronecker substitution over F_p[t]/(t^e),
-and the schoolbook product (_schoolbook) over Q[t]/(t^e) and symbolic
-rings.  Over Z/m a packed integer is reduced mod m in packed form
-(_mod_slots): a few whole-integer operations divide every slot by m at
-once, by Granlund and Montgomery's division by an invariant integer, and
-the list is read out only after that, or not at all between the steps
-of the Taylor shifts.  That division is exact for slots below 2^(W-1),
-W the slot's bits, so every slot width over Z/m has one spare bit.
+both by one codec (_codec), and the schoolbook product (_schoolbook) over
+Q[t]/(t^e) and symbolic rings.  Over Z/m a packed integer is reduced mod
+m in packed form (_mod_slots): a few whole-integer operations divide
+every slot by m at once, by Granlund and Montgomery's division by an
+invariant integer, and the list is read out only after that, or not at
+all between the steps of the Taylor shifts.  That division is exact
+for slots below 2^(W-1), W the slot's bits, so every slot width over Z/m
+has one spare bit.
 
 The two packed rings compose by one baby-step/giant-step routine
 over their kernel (Paterson-Stockmeyer): f splits into blocks of about
@@ -26,13 +27,13 @@ Horner's rule over _schoolbook.  Over Z/m two more paths take over: at
 high degree, an expansion around the affine part of a unit-slope inner
 map with nilpotent tail; at low degree, one Horner pass over big
 integers that carry the exact integer coefficients.  The expansion
-starts from the affine composition f(c + uT), a Taylor shift that
-doubles its block size level by level with one packed product per
-level, and adds the terms of the tail: term j is needed only modulo
-m / gcd(m, d^j), with d the common divisor of the tail and m (q^sigma
-over Z/p^n), so in the filtered groups, where high degrees carry high
-powers of q, those terms run at falling precision and stop where the
-precision runs out.
+starts from the affine composition f(c + uT), at every length a Taylor
+shift that doubles its block size level by level with one packed
+product per level, and adds the terms of the tail: term j is needed
+only modulo m / gcd(m, d^j), with d the common divisor of the tail and
+m (q^sigma over Z/p^n), so in the filtered groups, where high degrees
+carry high powers of q, those terms run at falling precision and stop
+where the precision runs out.
 
 A long f over Z/p^n splits q-adically first.  With f = f_lo + p^kf F and
 g = g_lo + p^kg G, where f_lo = f mod p^kf, g_lo = g mod p^kg and
@@ -170,57 +171,6 @@ def _product_slot(m: int, terms: int) -> int:
     return _slot_width(2 * (m - 1).bit_length() + terms.bit_length() + 1)
 
 
-def _int_codec(m: int, terms: int):
-    """(pack, scalar, unpack) for canonical coefficient lists over Z/m, one
-    coefficient a slot of _product_slot(m, terms) bytes.  Unpacking
-    reduces every slot in packed form (_mod_slots), with a few
-    whole-integer operations, before it reads any out; the slot's spare
-    top bit is what keeps that division exact.  A scalar packs as itself."""
-    w = _product_slot(m, terms)
-
-    def pack(a: Sequence[int]) -> int:
-        return _pack(a, w)
-
-    def unpack(n: int, count: int) -> list:
-        return _unpack_mod(n, count, w, m)
-
-    return pack, int, unpack
-
-
-def _series_codec(p: int, e: int, terms: int):
-    """(pack, scalar, unpack) over F_p[t]/(t^e): bivariate Kronecker
-    substitution.  The t^k part of the T^i coefficient goes to slot
-    i*(2e-1) + k, so the t-degrees of a product, at most 2e-2, never reach
-    the next T-coefficient; unpacking keeps k < e and reduces mod p.  A
-    product of two canonical coefficients puts at most e terms below
-    (p-1)^2 in a slot, and a slot holds any sum of `terms` such products.
-    A scalar packs as the e slots of one T-coefficient."""
-    stride = 2 * e - 1
-    pad = (0,) * (e - 1)
-    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length())
-
-    def pack(a: Sequence[tuple]) -> int:
-        return _pack([x for c in a for x in c + pad], w)
-
-    def scalar(c: tuple) -> int:
-        return _pack(c, w)
-
-    def unpack(n: int, count: int) -> list:
-        slots = _unpack(n, count * stride, w)
-        out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
-        return _trim(out, ((0,) * e).__eq__)
-
-    return pack, scalar, unpack
-
-
-def _kron_mul(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    """a*b mod m by Kronecker substitution."""
-    if not a or not b:
-        return []
-    pack, _, unpack = _int_codec(m, min(len(a), len(b)))
-    return unpack(pack(a) * pack(b), len(a) + len(b) - 1)
-
-
 # Compositions over Z/m whose exact integer result packs into at most this
 # many bytes run through the integers; larger ones reduce mod m as they go.
 _EXACT_BYTES = 512
@@ -249,11 +199,10 @@ def _compose_int_exact(f: Sequence[int], g: Sequence[int], m: int, w: int) -> li
 
 
 def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
-    """f(c + u*T) mod m by a Taylor shift, level by level.  A short f whose
-    exact result packs small goes through the integers.  Otherwise, at
-    block size s = 1, 2, 4, ..., every pair of neighbouring blocks
-    (lo, hi) of the coefficient list becomes lo + (c + u*T)^s * hi, a
-    block of 2s coefficients.  All pairs of one level take one Kronecker
+    """f(c + u*T) mod m by a Taylor shift, level by level: at block size
+    s = 1, 2, 4, ..., every pair of neighbouring blocks (lo, hi) of the
+    coefficient list becomes lo + (c + u*T)^s * hi, a block of 2s
+    coefficients.  All pairs of one level take one Kronecker
     product: a byte mask and a shift split the packed list into its lo
     and hi blocks, the hi blocks multiply the packed row (c + u*T)^s at
     once, since each product fills its pair's 2s slots and no more.  The
@@ -265,9 +214,6 @@ def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
     n = len(f)
     if not n:
         return []
-    w = _exact_slot(n, c + u, m)
-    if w * n <= _EXACT_BYTES:
-        return _compose_int_exact(f, (c, u), m, w)
     w = _product_slot(m, n)
     acc = _pack(f, w)
     row = _pack((c, u), w)
@@ -382,7 +328,7 @@ def _compose_int_split(f: Sequence[int], g: Sequence[int], ring: IntModRing):
         low = ring.at_precision(n - kg)
         d_lo = _trim([k * a % low.m for k, a in enumerate(f_lo)][1:])
         d_at = _compose_int(d_lo, _trim([x % low.m for x in g_lo]), low)
-        terms.append((_kron_mul([x // qg for x in g], d_at, low.m), qg))
+        terms.append((_poly_mul([x // qg for x in g], d_at, low), qg))
     low = ring.at_precision(n - kf)
     hi = _compose_int([x // qf for x in f], _trim([x % low.m for x in g]), low)
     terms.append((hi, qf))
@@ -443,13 +389,53 @@ def _schoolbook(a: Sequence, b: Sequence, ring: Ring) -> list:
 
 
 def _codec(ring: Ring, terms: int):
-    """(pack, scalar, unpack) for ring with slots for sums of `terms`
-    coefficient products, or None when the ring packs into no integer."""
+    """(pack, scalar, unpack) for canonical coefficient lists over ring,
+    with slots for sums of `terms` coefficient products, or None when the
+    ring packs into no integer; unpack(n, count) reads `count`
+    coefficients and trims them.
+
+    Over Z/m one coefficient is a slot of _product_slot(m, terms) bytes.
+    Unpacking reduces every slot in packed form (_mod_slots), with a few
+    whole-integer operations, before it reads any out; the slot's spare
+    top bit is what keeps that division exact.  A scalar packs as itself.
+
+    Over F_p[t]/(t^e) the substitution is bivariate: the t^k part of the
+    T^i coefficient goes to slot i*(2e-1) + k, so the t-degrees of a
+    product, at most 2e-2, never reach the next T-coefficient; unpacking
+    keeps k < e and reduces mod p.  A product of two canonical
+    coefficients puts at most e terms below (p-1)^2 in a slot, and a slot
+    holds any sum of `terms` such products.  A scalar packs as the e
+    slots of one T-coefficient."""
     if isinstance(ring, IntModRing):
-        return _int_codec(ring.m, terms)
-    if isinstance(ring, TruncSeriesRing) and ring.p is not None:
-        return _series_codec(ring.p, ring.e, terms)
-    return None
+        m = ring.m
+        w = _product_slot(m, terms)
+
+        def pack(a: Sequence[int]) -> int:
+            return _pack(a, w)
+
+        def unpack(n: int, count: int) -> list:
+            return _unpack_mod(n, count, w, m)
+
+        return pack, int, unpack
+    if not isinstance(ring, TruncSeriesRing) or ring.p is None:
+        return None
+    p, e = ring.p, ring.e
+    stride = 2 * e - 1
+    pad = (0,) * (e - 1)
+    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length())
+
+    def pack(a: Sequence[tuple]) -> int:
+        return _pack([x for c in a for x in c + pad], w)
+
+    def scalar(c: tuple) -> int:
+        return _pack(c, w)
+
+    def unpack(n: int, count: int) -> list:
+        slots = _unpack(n, count * stride, w)
+        out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
+        return _trim(out, ((0,) * e).__eq__)
+
+    return pack, scalar, unpack
 
 
 def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
@@ -911,16 +897,25 @@ class SubgroupSpec(NamedTuple):
         return f"{self.flavor}:{self.n},{self.r}"
 
 
+def _atilde_blocks(d: int, n: int) -> list:
+    """The valuation blocks of the degree-filtered subgroup of parameter d
+    at precision n, v = 1 .. n in turn: (v, lo, hi) puts the coefficients
+    of T^lo .. T^(hi-1) in q^v, and hi is None for v = n.  The bound
+    deg(f mod q^m) <= d*2^(m-2) puts T^j past d*2^(m-2) in q^m, and the
+    bounds nest, so v = 1 on 2 <= j <= d (affineness mod q), v on
+    d*2^(v-2) < j <= d*2^(v-1), and v = n past d*2^(n-2).  For d <= 0
+    the bounds leave no linear term: the v = n block starts at T^1."""
+    ends = [max(d << v, 0) + 1 for v in range(n - 1)]
+    return list(zip(range(1, n + 1), [2] + ends, ends + [None]))
+
+
 def atilde_coefficient_valuation(d: int, j: int, n: int) -> int:
     """Minimum q-valuation forced on the coefficient of T^j by the degree
     bounds deg(f mod q^m) <= d*2^(m-2), together with affineness mod q."""
     if j <= 1:
         return 0
-    v = 1
-    for m in range(2, n + 1):
-        if d * (1 << (m - 2)) < j:
-            v = max(v, m)
-    return min(v, n)
+    # a precision n < 1 has no blocks, and caps the valuation at n
+    return next((v for v, _, hi in _atilde_blocks(d, n) if hi is None or j < hi), n)
 
 
 def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
@@ -928,13 +923,10 @@ def member(f: TruncPoly, spec: SubgroupSpec) -> bool:
         return f.is_automorphism()
     ring = f.require_automorphism().ring
     if spec.flavor == "atilde":
-        n = ring.require_truncated()
-        # deg(f mod q^m) <= d*2^(m-2) puts the coefficients past d*2^(m-2) in q^m.
-        # The bounds nest: q^m is checked on (d*2^(m-2), d*2^(m-1)], or past at m = n
-        c, d = f._c, spec.d
-        for m in range(2, n + 1):
-            lo, hi = max(d << (m - 2), 0) + 1, max(d << (m - 1), 0) + 1 if m < n else None
-            if lo < len(c) and ring.q_val_min(c[lo:hi]) < m:
+        c = f._c
+        # an automorphism has its v = 1 block in q already
+        for v, lo, hi in _atilde_blocks(spec.d, ring.require_truncated())[1:]:
+            if lo < len(c) and ring.q_val_min(c[lo:hi]) < v:
                 return False
         return True
     if spec.flavor not in ("a", "n", "k"):
@@ -974,18 +966,17 @@ def sample_filtered(ring: Ring, d: int, rng) -> TruncPoly:
     n = ring.require_truncated()
     d = _as_int(d, "the subgroup parameter d", 1)
     coeffs = [ring.rand(rng), ring.rand_unit(rng)]
-    # T^j has valuation v on the block lo <= j < hi: 2 <= j <= d for v = 1,
-    # then d*2^(v-2) < j <= d*2^(v-1), up to d*2^(n-2)
-    ends = [(d << v) + 1 for v in range(max(n - 1, 1))]
-    blocks = list(zip(itertools.count(1), [2] + ends, ends))
+    # the blocks below q^n; n = 1 draws its v = 1 block, which q^1 sends to 0
+    blocks = _atilde_blocks(d, max(n, 2))[:-1]
+    top = blocks[-1][2]
     if isinstance(ring, IntModRing):
-        p, xs = ring.p, _draws(rng, ring.m, ends[-1] - 2)
+        p, xs = ring.p, _draws(rng, ring.m, top - 2)
         for v, lo, hi in blocks:  # q^v x mod p^n = (x mod p^(n-v)) p^v
             r, a = p ** (n - v), p ** v
             coeffs += [x % r * a for x in xs[lo - 2:hi - 2]]
     else:
         # q^v x over F_p[t]/(t^n) shifts x up by v <= n places
-        xs = tuple(_draws(rng, ring.p, n * (ends[-1] - 2)))
+        xs = tuple(_draws(rng, ring.p, n * (top - 2)))
         for v, lo, hi in blocks:
             coeffs += [(0,) * v + xs[i:i + n - v] for i in range(n * (lo - 2), n * (hi - 2), n)]
     return TruncPoly._raw(ring, coeffs)

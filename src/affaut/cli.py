@@ -212,13 +212,10 @@ def _do_witt_derive(args):
     return law.to_json(), "\n".join(lines), 0
 
 
-def _do_witt_add(args):
-    out = wt.witt_add(_witt_vec(args.u), _witt_vec(args.v))
-    return out.to_json(), _witt_text(out), 0
-
-
-def _do_witt_mul(args):
-    out = wt.witt_mul(_witt_vec(args.u), _witt_vec(args.v))
+def _do_witt_arith(args):
+    """witt-add and witt-mul, by witt_add and witt_mul."""
+    op = getattr(wt, args.verb.replace("-", "_"))
+    out = op(_witt_vec(args.u), _witt_vec(args.v))
     return out.to_json(), _witt_text(out), 0
 
 
@@ -294,7 +291,7 @@ def _do_greenberg_law(args):
         lines += _axiom_lines(report)
         if not report.all_ok:
             status = 1
-    return payload, "\n".join(lines), 0 if status == 0 else 1
+    return payload, "\n".join(lines), status
 
 
 def _do_verify_law(args):
@@ -405,13 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--level", type=_integer, required=True)
 
-    p = verb("witt-add", _do_witt_add, help="componentwise sum")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-
-    p = verb("witt-mul", _do_witt_mul, help="componentwise product")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    for name, result in (("witt-add", "sum"), ("witt-mul", "product")):
+        p = verb(name, _do_witt_arith, help=f"componentwise {result}")
+        p.add_argument("--u", required=True)
+        p.add_argument("--v", required=True)
 
     p = verb("ghost", _do_ghost, help="ghost coordinates of a vector")
     p.add_argument("--u", required=True)

@@ -31,9 +31,10 @@ The payload formats belong to this module, and three are read outside
 it: the integers of Z/m, by the integer kernels of :mod:`affaut.autgroup`
 and by the Witt and Greenberg modules; the terms of a symbolic element,
 which :mod:`affaut.greenberg` reduces mod p; and the coefficient tuples
-of F_p[t]/(t^e), by ``_series_codec`` in :mod:`affaut.autgroup`.  What
-the group layer asks of a payload otherwise (its residue mod q, a random
-nilpotent, every element of a finite ring) it asks the ring.
+of F_p[t]/(t^e), which ``_codec`` in :mod:`affaut.autgroup` packs and
+unpacks and ``sample_filtered`` builds.  What the group layer asks of a
+payload otherwise (its residue mod q, a random nilpotent, every element
+of a finite ring) it asks the ring.
 
 Values are immutable and kept in canonical form, so ``==`` is structural
 equality and every element may be used as a dict key.  All operations are

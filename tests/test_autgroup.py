@@ -27,7 +27,6 @@ from affaut.autgroup import (
     sample_kernel_element,
 )
 from affaut.autgroup import (
-    _EXACT_BYTES,
     _EXHAUSTIVE_PAIRS,
     _affine_compose_int,
     _affine_order,
@@ -462,11 +461,12 @@ def test_every_zmod_slot_width_leaves_the_spare_bit(monkeypatch):
 
 def test_affine_compose_int_matches_schoolbook():
     """f(c + u*T) against the schoolbook composition over Z/p^k and
-    composite m, 2^100 included: every length 0..70, where the exact route
-    gives way to the Taylor shift, and 2^k - 1, 2^k, 2^k + 1 up to 513,
-    which leave the last pair of a level full, partial or without its hi
-    block; c = 0, u = 0, a non-unit u, and coefficients all m - 1, which
-    fill the slots of every level to their bound."""
+    composite m, 2^100 included: every length 0..70, and 2^k - 1, 2^k,
+    2^k + 1 up to 513, which leave the last pair of a level full, partial
+    or without its hi block; c = 0, u = 0, a non-unit u, and coefficients
+    all m - 1, which fill the slots of every level to their bound.  Over
+    Z/2^100, c = 500 and u = 13 at lengths 16 and 17 as well: the exact
+    result of the first packs into 512 bytes, that of the second does not."""
     rng = random.Random(436)
     lengths = list(range(71)) + [2 ** k + d for k in range(7, 10) for d in (-1, 0, 1)]
     for m in (2, 3 ** 5, 2 ** 10, 7 ** 12, 12, 1800, 2 ** 100):
@@ -482,26 +482,11 @@ def test_affine_compose_int_matches_schoolbook():
             ]:
                 want = compose_naive(f, [c, u], m)
                 assert _affine_compose_int(f, c, u, m) == want, (m, n, c, u)
-
-
-def test_affine_compose_int_takes_the_exact_route_up_to_its_bound(monkeypatch):
-    """Over Z/2^100 with c + u of 10 bits, length 16 packs the exact result
-    into 32-byte slots, _EXACT_BYTES in all, and goes through the integers;
-    length 17 needs more and takes the Taylor shift."""
-    import affaut.autgroup as ag
-
-    m, c, u = 2 ** 100, 500, 13
-    assert _exact_slot(16, c + u, m) * 16 == _EXACT_BYTES
-    assert _exact_slot(17, c + u, m) * 17 > _EXACT_BYTES
-    calls = []
-    exact = ag._compose_int_exact
-    monkeypatch.setattr(ag, "_compose_int_exact", lambda *a: calls.append(a) or exact(*a))
     rng = random.Random(437)
-    for n, routed in ((16, 1), (17, 0)):
+    m, c, u = 2 ** 100, 500, 13
+    for n in (16, 17):
         f = [rng.randrange(m) for _ in range(n)]
-        assert _affine_compose_int(f, c, u, m) == compose_naive(f, [c, u], m)
-        assert len(calls) == routed, n
-        calls.clear()
+        assert _affine_compose_int(f, c, u, m) == compose_naive(f, [c, u], m), n
 
 
 # the baby-step/giant-step composition: f in blocks of k coefficients
@@ -697,19 +682,11 @@ def _route_counts(monkeypatch):
             return out
         return wrapper
 
-    def affine(*args):
-        exact = counts["exact"]
-        out = ag_affine(*args)
-        counts["affine levels"] += counts["exact"] == exact
-        return out
-
-    ag_affine = ag._affine_compose_int
-    for name, attr in (("exact", "_compose_int_exact"), ("taylor", "_compose_int_taylor"),
-                       ("bsgs", "_compose_bsgs")):
+    for name, attr in (("exact", "_compose_int_exact"), ("affine levels", "_affine_compose_int"),
+                       ("taylor", "_compose_int_taylor"), ("bsgs", "_compose_bsgs")):
         monkeypatch.setattr(ag, attr, counted(name, getattr(ag, attr)))
     split = counted("split", ag._compose_int_split, lambda out: out is not None)
     monkeypatch.setattr(ag, "_compose_int_split", split)
-    monkeypatch.setattr(ag, "_affine_compose_int", affine)
     return counts
 
 
@@ -1114,6 +1091,34 @@ def test_member_atilde_one_valuation_short_at_every_block_boundary():
                 f = P(ring, c)
                 for dd in (0, 1, d, d + 1):
                     assert member(f, SubgroupSpec("atilde", d=dd)) == in_atilde(f, dd, n)
+
+
+def test_the_filtration_blocks_are_frozen():
+    """The valuation blocks of the degree-filtered subgroups.
+    atilde_coefficient_valuation meets the per-level definition, the least
+    v >= 1 with T^j in q^m at every level m <= n where d*2^(m-2) < j, for
+    d from -1 to 5.  sample_filtered draws, in one seeded stream, twice at
+    each n = 1..8 and d = 1..4 over Z/2^n, Z/3^n, F_2[t]/(t^n) and
+    F_3[t]/(t^n), hashed; n = 1 draws a block that q^1 then sends to 0,
+    and the stream after it is part of the digest."""
+    for n in range(1, 9):
+        for d in range(-1, 6):
+            for j in range(max(d, 1) << n):
+                levels = [m for m in range(2, n + 1) if d * 2 ** (m - 2) < j]
+                want = 0 if j <= 1 else min(n, max([1] + levels))
+                assert atilde_coefficient_valuation(d, j, n) == want, (d, j, n)
+    rng = random.Random(2401)
+    outs = []
+    for n in range(1, 9):
+        for ring in (IntModRing(2 ** n, q=2), IntModRing(3 ** n, q=3),
+                     TruncSeriesRing("fp", n, p=2), TruncSeriesRing("fp", n, p=3)):
+            for d in range(1, 5):
+                outs += [list(sample_filtered(ring, d, rng).raw_coeffs()) for _ in range(2)]
+    blob = json.dumps(outs).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "94d4d339b909193fc7cd3ff5b878a36d483f195a976d8aab64001f788d4c889b"
+    )
+
 
 def test_identity_congruence_matches_valuations():
     rng = random.Random(380)

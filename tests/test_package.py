@@ -86,6 +86,16 @@ def test_the_unpacked_rings_have_one_arithmetic():
     assert not hasattr(rings.TruncSeriesRing, "_szero")
 
 
+def test_the_packed_rings_have_one_codec():
+    """Z/m and F_p[t]/(t^e) pack through one codec and multiply through one
+    product, so the removed per-ring codecs and the second Z/m product
+    stay gone."""
+    from affaut import autgroup
+
+    for name in ("_int_codec", "_series_codec", "_kron_mul"):
+        assert not hasattr(autgroup, name), name
+
+
 def test_the_group_layer_asks_the_ring_and_the_map():
     """The ring questions of autgroup are ring members and the automorphism
     check and the inverse about T live once, so the removed helpers stay
