@@ -10,13 +10,14 @@ nilpotent.
 Products of coefficient lists go through one per-ring kernel: Kronecker
 substitution over Z/m, bivariate Kronecker substitution over F_p[t]/(t^e),
 both by one codec (_codec), and the schoolbook product (_schoolbook) over
-Q[t]/(t^e) and symbolic rings.  Over Z/m a packed integer is reduced mod
-m in packed form (_mod_slots): a few whole-integer operations divide
-every slot by m at once, by Granlund and Montgomery's division by an
-invariant integer, and the list is read out only after that, or not at
-all between the steps of the Taylor shifts.  That division is exact
-for slots below 2^(W-1), W the slot's bits, so every slot width over Z/m
-has one spare bit.
+Q[t]/(t^e) and symbolic rings.  A packed integer over either packed ring
+is reduced in packed form (_mod_slots): a few whole-integer operations
+divide every slot by m (by p over F_p[t]/(t^e), where a mask then drops
+the t-degrees from e on) at once, by Granlund and Montgomery's division
+by an invariant integer, and the list is read out only after that, or
+not at all between the steps of the Taylor shifts and the baby-step/
+giant-step composition.  That division is exact for slots below
+2^(W-1), W the slot's bits, so every slot width has one spare bit.
 
 The two packed rings compose by one baby-step/giant-step routine
 over their kernel (Paterson-Stockmeyer): f splits into blocks of about
@@ -116,19 +117,19 @@ def _pack(xs: Sequence[int], w: int) -> int:
     return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs), "little")
 
 
-def _unpack(n: int, count: int, w: int) -> Sequence[int]:
+def _unpack(n: int, count: int, w: int) -> list:
     buf = n.to_bytes(w * count, "little")
     code = _ARRAY_CODE.get(w)
     if code:
-        return memoryview(buf).cast(code)
+        return memoryview(buf).cast(code).tolist()
     return [int.from_bytes(buf[i:i + w], "little") for i in range(0, len(buf), w)]
 
 
 # a zmod-filtered sweep (seed 1) uses about 140 masks, 200 KB in all
 @functools.lru_cache(maxsize=256)
-def _block_mask(width: int, pairs: int) -> int:
-    """The low `width` bytes of each of `pairs` blocks of 2*width bytes."""
-    return int.from_bytes((b"\xff" * width + bytes(width)) * pairs, "little")
+def _block_mask(width: int, blocks: int, stride: int) -> int:
+    """The low `width` bytes of each of `blocks` blocks of `stride` bytes."""
+    return int.from_bytes((b"\xff" * width + bytes(stride - width)) * blocks, "little")
 
 
 def _mod_slots(n: int, count: int, w: int, m: int) -> int:
@@ -152,7 +153,7 @@ def _mod_slots(n: int, count: int, w: int, m: int) -> int:
     bits = (m - 1).bit_length()
     k = width - 1 + bits
     big = (1 << k) // m + 1
-    half = _block_mask(w, 1 << ((count - 1) // 2).bit_length())
+    half = _block_mask(w, 1 << ((count - 1) // 2).bit_length(), 2 * w)
     quot = half >> bits & half
     q = (n & half) * big >> k & quot | ((n >> width & half) * big >> k & quot) << width
     return n - q * m
@@ -160,8 +161,7 @@ def _mod_slots(n: int, count: int, w: int, m: int) -> int:
 
 def _unpack_mod(n: int, count: int, w: int, m: int) -> list:
     """The `count` w-byte slots of n reduced mod m, as a trimmed list."""
-    xs = _unpack(_mod_slots(n, count, w, m), count, w)
-    return _trim(xs if isinstance(xs, list) else xs.tolist())
+    return _trim(_unpack(_mod_slots(n, count, w, m), count, w))
 
 
 def _product_slot(m: int, terms: int) -> int:
@@ -219,7 +219,7 @@ def _affine_compose_int(f: Sequence[int], c: int, u: int, m: int) -> list:
     row = _pack((c, u), w)
     s = 1
     while True:
-        mask = _block_mask(w * s, -(-n // (2 * s)))
+        mask = _block_mask(w * s, -(-n // (2 * s)), 2 * w * s)
         acc = (acc & mask) + (acc >> 8 * w * s & mask) * row
         s *= 2
         if s >= n:
@@ -365,9 +365,9 @@ def _compose_int(f: Sequence[int], g: Sequence[int], ring: IntModRing) -> list:
 # the per-ring product kernel and the one general composition
 #
 # A codec turns canonical coefficient lists over one ring into big integers
-# that add and multiply as the polynomials do, and back, by Kronecker
-# substitution over Z/m and F_p[t]/(t^e); unpacking reduces.  The other
-# rings multiply by _schoolbook.
+# that add and multiply as the polynomials do, reduces them in packed form,
+# and reads them back, by Kronecker substitution over Z/m and F_p[t]/(t^e).
+# The other rings multiply by _schoolbook.
 
 
 def _schoolbook(a: Sequence, b: Sequence, ring: Ring) -> list:
@@ -389,23 +389,25 @@ def _schoolbook(a: Sequence, b: Sequence, ring: Ring) -> list:
 
 
 def _codec(ring: Ring, terms: int):
-    """(pack, scalar, unpack) for canonical coefficient lists over ring,
-    with slots for sums of `terms` coefficient products, or None when the
-    ring packs into no integer; unpack(n, count) reads `count`
-    coefficients and trims them.
+    """(pack, scalar, reduce, unpack) for canonical coefficient lists over
+    ring, with slots for sums of `terms` coefficient products, or None
+    when the ring packs into no integer.  reduce(n) reduces every slot of
+    a packed sum of products in packed form, with a few whole-integer
+    operations (_mod_slots; the slot's spare top bit keeps that division
+    exact); unpack(n) reads a reduced n out, up to its highest nonzero
+    slot, so the list comes out trimmed.  Both take the slot count from
+    n's bit length.
 
     Over Z/m one coefficient is a slot of _product_slot(m, terms) bytes.
-    Unpacking reduces every slot in packed form (_mod_slots), with a few
-    whole-integer operations, before it reads any out; the slot's spare
-    top bit is what keeps that division exact.  A scalar packs as itself.
+    A scalar packs as itself.
 
     Over F_p[t]/(t^e) the substitution is bivariate: the t^k part of the
     T^i coefficient goes to slot i*(2e-1) + k, so the t-degrees of a
-    product, at most 2e-2, never reach the next T-coefficient; unpacking
-    keeps k < e and reduces mod p.  A product of two canonical
-    coefficients puts at most e terms below (p-1)^2 in a slot, and a slot
-    holds any sum of `terms` such products.  A scalar packs as the e
-    slots of one T-coefficient."""
+    product, at most 2e-2, never reach the next T-coefficient; reduce
+    takes every slot mod p and a mask keeps k < e.  A product of two
+    canonical coefficients puts at most e terms below (p-1)^2 in a slot,
+    and a slot holds any sum of `terms` such products and the spare bit.
+    A scalar packs as the e slots of one T-coefficient."""
     if isinstance(ring, IntModRing):
         m = ring.m
         w = _product_slot(m, terms)
@@ -413,16 +415,20 @@ def _codec(ring: Ring, terms: int):
         def pack(a: Sequence[int]) -> int:
             return _pack(a, w)
 
-        def unpack(n: int, count: int) -> list:
-            return _unpack_mod(n, count, w, m)
+        def reduce(n: int) -> int:
+            return _mod_slots(n, -(-n.bit_length() // (8 * w)), w, m)
 
-        return pack, int, unpack
+        def unpack(n: int) -> list:
+            return _unpack(n, -(-n.bit_length() // (8 * w)), w)
+
+        return pack, int, reduce, unpack
     if not isinstance(ring, TruncSeriesRing) or ring.p is None:
         return None
     p, e = ring.p, ring.e
     stride = 2 * e - 1
     pad = (0,) * (e - 1)
-    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length())
+    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length() + 1)
+    bits = 8 * w * stride  # per T-coefficient
 
     def pack(a: Sequence[tuple]) -> int:
         return _pack([x for c in a for x in c + pad], w)
@@ -430,12 +436,16 @@ def _codec(ring: Ring, terms: int):
     def scalar(c: tuple) -> int:
         return _pack(c, w)
 
-    def unpack(n: int, count: int) -> list:
-        slots = _unpack(n, count * stride, w)
-        out = list(zip(*[[x % p for x in slots[k::stride]] for k in range(e)]))
-        return _trim(out, ((0,) * e).__eq__)
+    def reduce(n: int) -> int:
+        count = -(-n.bit_length() // bits)
+        mask = _block_mask(w * e, 1 << count.bit_length(), w * stride)
+        return _mod_slots(n, count * stride, w, p) & mask
 
-    return pack, scalar, unpack
+    def unpack(n: int) -> list:
+        slots = _unpack(n, -(-n.bit_length() // bits) * stride, w)
+        return list(zip(*[slots[k::stride] for k in range(e)]))
+
+    return pack, scalar, reduce, unpack
 
 
 def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
@@ -444,8 +454,8 @@ def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
     codec = _codec(ring, min(len(a), len(b)))
     if codec is None:
         return _schoolbook(a, b, ring)
-    pack, _, unpack = codec
-    return unpack(pack(a) * pack(b), len(a) + len(b) - 1)
+    pack, _, reduce, unpack = codec
+    return unpack(reduce(pack(a) * pack(b)))
 
 
 def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
@@ -457,11 +467,13 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
     steps form g^1 .. g^k once, packed.  Each B_i(g) is a sum of scalar
     multiples of those packed powers, added up without reduction: the slots
     hold k such terms on top of one product.  Horner's rule in G combines
-    the blocks, with one reduced product each.  A reduced product is a
-    bigint multiply and an unpack, Python work per slot; a composition
-    makes about k + len(f)/k of them in place of len(f), and since CPython
-    multiplies large integers by Karatsuba, the fewer and larger giant
-    products also cost less in total than Horner's lopsided ones.
+    the blocks, with one reduced product each.  The powers, G and the
+    Horner sum stay packed throughout, a reduced product being a bigint
+    multiply and a packed reduction, and the result is read out once; a
+    composition makes about k + len(f)/k products in place of len(f), and
+    since CPython multiplies large integers by Karatsuba, the fewer and
+    larger giant products also cost less in total than Horner's lopsided
+    ones.
 
     The rings with no codec run Horner's rule over _schoolbook instead:
     a schoolbook product costs len(a)*len(b) ring operations, so the
@@ -482,29 +494,17 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
             res[:1] = [ring.add(res[0], c)] if res else [c]
             res = ring.trim(res)  # only a lone constant can vanish
         return res
-    pack, scalar, unpack = codec
-    powers = [None, pack(g)]  # g^j packed, and the length of g^j
-    lens = [1, len(g)]
+    pack, scalar, reduce, unpack = codec
+    powers = [None, pack(g)]  # g^j packed
     for _ in range(k - 1):
-        if lens[-1] and g:
-            cur = unpack(powers[-1] * powers[1], lens[-1] + len(g) - 1)
-        else:
-            cur = []
-        powers.append(pack(cur))
-        lens.append(len(cur))
-    giant, glen = powers[k], lens[k]
-    blen = max(lens[:k])
-    res = []
+        powers.append(reduce(powers[-1] * powers[1]))
+    res = 0
     for i in reversed(range(0, n, k)):
         acc = scalar(f[i])
         for j in range(1, min(k, n - i)):
             acc = acc + scalar(f[i + j]) * powers[j]
-        count = blen
-        if res:
-            acc = pack(res) * giant + acc
-            count = max(count, len(res) + glen - 1)
-        res = unpack(acc, count)
-    return res
+        res = reduce(res * powers[k] + acc)
+    return unpack(res)
 
 
 # ---------------------------------------------------------------------------
@@ -912,9 +912,9 @@ def _atilde_blocks(d: int, n: int) -> list:
 def atilde_coefficient_valuation(d: int, j: int, n: int) -> int:
     """Minimum q-valuation forced on the coefficient of T^j by the degree
     bounds deg(f mod q^m) <= d*2^(m-2), together with affineness mod q."""
+    n = _as_int(n, "the precision n", 1)
     if j <= 1:
         return 0
-    # a precision n < 1 has no blocks, and caps the valuation at n
     return next((v for v, _, hi in _atilde_blocks(d, n) if hi is None or j < hi), n)
 
 

@@ -405,6 +405,39 @@ def test_packed_reduction_matches_per_slot_mod():
                     assert _unpack_mod(_pack(xs, w), count, w, m) == _trim(want)
 
 
+def test_series_packed_reduction_matches_per_slot_mod():
+    """The F_p[t]/(t^e) codec's reduce against x % p on every slot, with
+    the slots of t-degree e..2e-2 of each T-coefficient zeroed, and its
+    unpack against the trimmed coefficient tuples: e = 1 and 7, slots of
+    1, 2, 4 and 8 bytes and wider (the bytes path, p = 2^31 - 1), slots
+    of 0, p - 1, p, multiples of p, 2^(W-1) - 1 and random values below
+    2^(W-1), in 1, 2, 3, 8 and 33 T-coefficients."""
+    from affaut.autgroup import _codec, _pack, _slot_width
+
+    rng = random.Random(454)
+    for e in (1, 7):
+        stride, widths = 2 * e - 1, set()
+        for p in (2, 7, 251, 65521, 2 ** 31 - 1):
+            for terms in (1, 3, 100, 1000):
+                _, _, reduce, unpack = _codec(TruncSeriesRing("fp", e, p=p), terms)
+                w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length() + 1)
+                widths.add(w)
+                cap = 2 ** (8 * w - 1)  # every slot is below 2^(W-1)
+                special = [0, p - 1, p, cap - 1, (cap - 1) // p * p, p * rng.randrange(cap // p)]
+                for count in (1, 2, 3, 8, 33):
+                    for _ in range(3):
+                        xs = [rng.choice(special) if rng.random() < 0.5 else rng.randrange(cap)
+                              for _ in range(count * stride)]
+                        want = [x % p if i % stride < e else 0 for i, x in enumerate(xs)]
+                        got = reduce(_pack(xs, w))
+                        assert got == _pack(want, w), (e, p, terms, count)
+                        tuples = [tuple(want[i:i + e]) for i in range(0, len(want), stride)]
+                        while tuples and not any(tuples[-1]):
+                            tuples.pop()
+                        assert unpack(got) == tuples, (e, p, terms, count)
+        assert widths >= {1, 2, 4, 8} and max(widths) > 8, (e, widths)
+
+
 def test_every_zmod_slot_width_leaves_the_spare_bit(monkeypatch):
     """The slot widths keep every slot below 2^(W-1), the bound the packed
     reduction needs.  _product_slot (the codec, the affine Taylor shift,
@@ -412,7 +445,10 @@ def test_every_zmod_slot_width_leaves_the_spare_bit(monkeypatch):
     bit at every boundary of their formulas.  Through the routes, with
     all-(m-1) maps, the largest nilpotent tails, long filtered pairs and
     a q-adic split over Z/2^30 whose three terms, each below 2^30, sum
-    past 2^31 in some slots, no slot that reaches _mod_slots is larger."""
+    past 2^31 in some slots, no slot that reaches _mod_slots is larger.
+    Nor is one over F_p[t]/(t^e), through the products and the baby
+    steps and giant steps of all-(p-1) maps and the largest nilpotent
+    tails, at every slot width."""
     import affaut.autgroup as ag
     from affaut.autgroup import _compose_int_split, _product_slot
 
@@ -456,6 +492,19 @@ def test_every_zmod_slot_width_leaves_the_spare_bit(monkeypatch):
     gc = [rng.randrange(R.m), R.rand_unit(rng)] + [2 ** 15 * rng.randrange(1, 2 ** 15) for _ in range(4)]
     assert _compose_int_split(fc, gc, R) == compose_naive(fc, gc, R.m)
     assert all(counts.values()), counts
+    assert seen >= {1, 2, 4, 8} and max(seen) > 8
+    seen.clear()
+    for p in (2, 3, 7, 251, 65521, 2 ** 31 - 1):
+        for e in (1, 2, 7):
+            R = TruncSeriesRing("fp", e, p=p)
+            top, nil = (p - 1,) * e, (0,) + (p - 1,) * (e - 1)
+            for lf, lg in ((1, 5), (3, 3), (8, 9), (31, 31), (40, 2), (130, 2)):
+                f, small = [top] * lf, lf * lg <= 64  # the schoolbook checks
+                got = _poly_mul(f, [top] * lg, R)
+                assert not small or got == series_poly_mul_naive(f, [top] * lg, p, e)
+                for g in ([top] * lg, [top, top] + [nil] * (lg - 2)):
+                    got = _compose_bsgs(f, g, R)
+                    assert not small or got == series_compose_naive(f, g, p, e), (p, e, lf, lg)
     assert seen >= {1, 2, 4, 8} and max(seen) > 8
 
 
@@ -724,6 +773,32 @@ def test_zmod_composition_routes_are_frozen(monkeypatch):
     )
 
 
+def test_series_composition_and_products_are_frozen():
+    """Seeded compositions and products over F_p[t]/(t^e), p in {2, 3, 5,
+    7, 2^31 - 1} and e = 1..7, hashed: constant and empty maps on either
+    side, inner maps of length 1, lengths from 3 on, where the baby steps
+    run in blocks of k >= 2 coefficients, up to 90 terms (k = 7), and
+    filtered pairs.  The digest was recorded with the per-coefficient
+    reduction (x % p on each unpacked slot, each baby and giant step read
+    out and packed again) that the packed one replaced."""
+    rng = random.Random(455)
+    outs = []
+    for p in SERIES_PRIMES:
+        for e in range(1, 8):
+            R = TruncSeriesRing("fp", e, p=p)
+            for lf, lg in ((0, 3), (1, 4), (5, 1), (2, 2), (3, 2), (7, 3), (20, 4), (90, 2)):
+                f = P(R, _series_poly(rng, p, e, lf))
+                for g in (P(R, _series_poly(rng, p, e, lg)), sample_automorphism(R, lg - 1, rng)):
+                    outs += [f.compose(g), g.compose(f), f * g]
+            for d in (1, 2, 3):
+                f, g = sample_filtered(R, d, rng), sample_filtered(R, d, rng)
+                outs += [f.compose(g), g.compose(f), f * g]
+    blob = json.dumps([_coeffs(h) for h in outs]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c3e3a07ff85715c1ebe8a38bdd9637367a2087ca855acff0cc9d5cc9dd0b97fa"
+    )
+
+
 def test_bsgs_compose_series_every_length_matches_schoolbook():
     rng = random.Random(437)
     rings = [(p, e) for p in SERIES_PRIMES for e in range(1, 8)]
@@ -958,6 +1033,15 @@ def test_sample_filtered_refuses_d_below_1():
         for d in (0, -1):
             with pytest.raises(PreconditionFailed, match="at least 1"):
                 sample_filtered(ring, d, random.Random(1))
+
+
+def test_atilde_coefficient_valuation_refuses_precision_below_1():
+    """Every ring has precision at least 1; at n = -3 a valuation of -3
+    used to come back, and 0 at n = 0."""
+    for d, j, n in ((1, 5, -3), (1, 5, 0), (2, 1, 0), (0, 0, -1)):
+        with pytest.raises(PreconditionFailed, match="at least 1"):
+            atilde_coefficient_valuation(d, j, n)
+    assert atilde_coefficient_valuation(1, 5, 1) == 1
 
 # --------------------------------------------------------------------------
 # degree bookkeeping: a reference for the degree of f mod q^m
