@@ -88,7 +88,7 @@ def scalar_mul(c, g: TruncPoly, r: int) -> TruncPoly:
     out by the q^r in front.
     """
     check_kernel_element(g, r)
-    return _kernel_poly(g.ring, g.ring.pay(c), _offset(g))
+    return _kernel_poly(g.ring, g.ring.pay(c), _offset(g.raw_coeffs(), g.ring))
 
 
 def _require_abelian(n: int, r: int, hint: str = "") -> None:

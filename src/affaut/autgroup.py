@@ -407,13 +407,22 @@ def _codec(ring: Ring, terms: int):
     takes every slot mod p and a mask keeps k < e.  A product of two
     canonical coefficients puts at most e terms below (p-1)^2 in a slot,
     and a slot holds any sum of `terms` such products and the spare bit.
-    A scalar packs as the e slots of one T-coefficient."""
+    A scalar packs as the e slots of one T-coefficient.  The functions
+    depend on the ring and the slot width alone: _packed_codec keeps them."""
     if isinstance(ring, IntModRing):
-        m = ring.m
-        w = _product_slot(m, terms)
+        return _packed_codec(ring.m, 0, _product_slot(ring.m, terms))
+    if not isinstance(ring, TruncSeriesRing) or ring.p is None:
+        return None
+    p, e = ring.p, ring.e
+    return _packed_codec(p, e, _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length() + 1))
 
-        def pack(a: Sequence[int]) -> int:
-            return _pack(a, w)
+
+# a sweep of either filtered workload (seed 1) uses about 25 codecs
+@functools.lru_cache(maxsize=256)
+def _packed_codec(m: int, e: int, w: int):
+    """_codec's functions for w-byte slots over Z/m, or F_m[t]/(t^e) if e."""
+    slots = functools.partial(_pack, w=w)  # packs a list over Z/m, a scalar over F_m
+    if not e:
 
         def reduce(n: int) -> int:
             return _mod_slots(n, -(-n.bit_length() // (8 * w)), w, m)
@@ -421,31 +430,24 @@ def _codec(ring: Ring, terms: int):
         def unpack(n: int) -> list:
             return _unpack(n, -(-n.bit_length() // (8 * w)), w)
 
-        return pack, int, reduce, unpack
-    if not isinstance(ring, TruncSeriesRing) or ring.p is None:
-        return None
-    p, e = ring.p, ring.e
+        return slots, int, reduce, unpack
     stride = 2 * e - 1
     pad = (0,) * (e - 1)
-    w = _slot_width(2 * (p - 1).bit_length() + (terms * e).bit_length() + 1)
     bits = 8 * w * stride  # per T-coefficient
 
     def pack(a: Sequence[tuple]) -> int:
-        return _pack([x for c in a for x in c + pad], w)
-
-    def scalar(c: tuple) -> int:
-        return _pack(c, w)
+        return slots([x for c in a for x in c + pad])
 
     def reduce(n: int) -> int:
         count = -(-n.bit_length() // bits)
         mask = _block_mask(w * e, 1 << count.bit_length(), w * stride)
-        return _mod_slots(n, count * stride, w, p) & mask
+        return _mod_slots(n, count * stride, w, m) & mask
 
     def unpack(n: int) -> list:
-        slots = _unpack(n, -(-n.bit_length() // bits) * stride, w)
-        return list(zip(*[slots[k::stride] for k in range(e)]))
+        cs = _unpack(n, -(-n.bit_length() // bits) * stride, w)
+        return list(zip(*[cs[k::stride] for k in range(e)]))
 
-    return pack, scalar, reduce, unpack
+    return pack, slots, reduce, unpack
 
 
 def _poly_mul(a: Sequence, b: Sequence, ring: Ring) -> list:
@@ -505,6 +507,15 @@ def _compose_bsgs(f: Sequence, g: Sequence, ring: Ring) -> list:
             acc = acc + scalar(f[i + j]) * powers[j]
         res = reduce(res * powers[k] + acc)
     return unpack(res)
+
+
+def _compose(f: Sequence, g: Sequence, ring: Ring) -> list:
+    """f(g) for trimmed payload lists over ring, trimmed: the integer routes
+    over Z/m, baby steps and giant steps over the other rings.  The one
+    dispatcher, behind TruncPoly.compose and both inversion routes."""
+    if isinstance(ring, IntModRing):
+        return _compose_int(f, g, ring)
+    return _compose_bsgs(f, g, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +646,7 @@ class TruncPoly:
     def compose(self, g: "TruncPoly") -> "TruncPoly":
         """self(g(T)) -- apply g first, then self."""
         self._check(g)
-        ring = self.ring
-        if isinstance(ring, IntModRing):
-            return TruncPoly._raw(ring, _compose_int(self._c, g._c, ring))
-        return TruncPoly._raw(ring, _compose_bsgs(self._c, g._c, ring))
+        return TruncPoly._raw(self.ring, _compose(self._c, g._c, self.ring))
 
     def is_automorphism(self) -> bool:
         """Unit linear coefficient and nilpotent higher coefficients; this
@@ -660,7 +668,7 @@ class TruncPoly:
         """Largest r (capped at the truncation exponent) with
         self = T mod q^r."""
         n = self.ring.require_truncated()
-        return min(n, self.ring.q_val_min(_offset(self)))
+        return min(n, self.ring.q_val_min(_offset(self._c, self.ring)))
 
     def to_json(self) -> dict:
         return {"coeffs": [self.ring.payload_to_json(c) for c in self._c]}
@@ -717,10 +725,9 @@ def _kernel_poly(ring: Ring, gen, hs: Sequence) -> TruncPoly:
     return TruncPoly._raw(ring, cs)
 
 
-def _offset(g: TruncPoly) -> list:
-    """The coefficients of g - T, low degree first, degrees 0 and 1 always present."""
-    ring = g.ring
-    cs = list(g._c) + [ring.zero()] * (2 - len(g._c))
+def _offset(g: Sequence, ring: Ring) -> list:
+    """The payloads of g - T, low degree first, degrees 0 and 1 always present."""
+    cs = [*g, *[ring.zero()] * (2 - len(g))]
     cs[1] = ring.sub(cs[1], ring.one())
     return cs
 
@@ -729,7 +736,7 @@ def _kernel_h(g: TruncPoly, r: int, dst: Ring) -> list:
     """The coefficients of (g - T)/q^r, low degree first and carried to
     dst, for g congruent to T mod q^r; degrees 0 and 1 always appear."""
     ring = g.ring
-    return ring.transport([ring.exact_div_q(c, r) for c in _offset(g)], dst)
+    return ring.transport([ring.exact_div_q(c, r) for c in _offset(g._c, ring)], dst)
 
 
 def _commutation_probe(

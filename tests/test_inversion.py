@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,9 +17,16 @@ from affaut.autgroup import (
     sample_filtered,
     sample_kernel_element,
 )
-from affaut.errors import NotAnAutomorphism, PreconditionFailed
+from affaut import inversion
+from affaut.errors import (
+    AlgebraError,
+    KernelMismatch,
+    NoSolution,
+    NotAnAutomorphism,
+    PreconditionFailed,
+)
 from affaut.inversion import invert, invert_with_depth, lift_aut, oracle_invert
-from affaut.rings import IntModRing, TruncSeriesRing
+from affaut.rings import IntModRing, SymbolicRing, TruncSeriesRing
 
 
 def P(ring, coeffs):
@@ -189,3 +198,138 @@ def test_oracle_equals_invert_on_filtered_samples():
         for _ in range(15):
             f = sample_filtered(R, d, rng)
             assert invert(f) == oracle_invert(f)
+
+
+def _inversion_cases(rng):
+    """Seeded automorphisms (and two kinds of refused input) for the frozen
+    inversion digest: filtered, sampled and near-identity maps over Z/p^n,
+    p in {2, 3, 5, 7} and n = 1..10, and over F_p[t]/(t^e), e = 1..8;
+    hand-built ones over Q[t]/(t^e) and over a truncated symbolic ring."""
+    for p in (2, 3, 5, 7):
+        for n in range(1, 11):
+            R = IntModRing(p ** n, q=p)
+            for d in (1, 2, 3):
+                yield sample_filtered(R, d, rng)
+                yield sample_filtered(R, d, rng)
+            for _ in range(5):
+                yield sample_automorphism(R, rng.randrange(1, 9), rng)
+            for r in range(1, n + 1, 3):
+                yield sample_kernel_element(R, r, 4, rng)
+    for p in (2, 3, 5, 7):
+        for e in range(1, 9):
+            R = TruncSeriesRing("fp", e, p=p)
+            for d in (1, 2):
+                for _ in range(4):
+                    yield sample_filtered(R, d, rng)
+            for _ in range(6):
+                yield sample_automorphism(R, rng.randrange(1, 7), rng)
+            yield sample_kernel_element(R, (e + 1) // 2, 3, rng)
+
+    def rational(nilpotent):
+        cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(e)]
+        cs[0] = Fraction(0) if nilpotent else cs[0] or Fraction(1)
+        return tuple(cs)
+
+    for e in range(1, 5):
+        R = TruncSeriesRing("rationals", e)
+        for _ in range(8):
+            coeffs = [rational(False), rational(False)]
+            coeffs += [rational(True) for _ in range(rng.randrange(0, 5))]
+            yield P(R, coeffs)
+
+    S = SymbolicRing(("a", "b", "q"), inverted="b", q="q", trunc=4)
+
+    def symbolic(q_least):
+        x = S.zero()
+        for _ in range(rng.randint(0, 2)):
+            exps = {"a": rng.randint(0, 2), "b": rng.randint(0, 1), "q": rng.randint(q_least, 3)}
+            x = S.add(x, S.monomial(rng.randint(-3, 3), exps, bk=rng.randint(0, 1)))
+        return x
+
+    for _ in range(16):
+        unit = S.monomial(rng.choice((-1, 1)), {"b": rng.randint(0, 2)}, bk=rng.randint(0, 1))
+        coeffs = [symbolic(0), S.add(unit, symbolic(1))]
+        coeffs += [symbolic(1) for _ in range(rng.randrange(0, 4))]
+        yield P(S, coeffs)
+    # refused: a non-automorphism over each kind of ring, a composite modulus
+    yield P(IntModRing(9, q=3), [0, 1, 1])
+    yield P(IntModRing(9, q=3), [0, 3])
+    yield P(TruncSeriesRing("fp", 3, p=2), [(0, 0, 0), (0, 1, 0)])
+    yield P(S, [S.zero(), S.gen("a")])
+    yield P(IntModRing(12), [0, 1, 6])
+
+
+def test_inversions_are_frozen():
+    """Both inversion routes on 1 056 seeded automorphisms over Z/p^n,
+    F_p[t]/(t^e), Q[t]/(t^e) and a truncated symbolic ring, hashed with
+    the descent depth and with the class and message of every refusal.
+    The digest was recorded with the TruncPoly arithmetic that the payload
+    descent and lifting replaced."""
+    outs = []
+    for f in _inversion_cases(random.Random(461)):
+        case = []
+        for route in (invert_with_depth, oracle_invert):
+            try:
+                out = route(f)
+            except AlgebraError as e:
+                case.append([type(e).__name__, str(e)])
+                continue
+            g, depth = out if route is invert_with_depth else (out, None)
+            case.append([g.to_json(), depth])
+        outs.append(case)
+    assert len(outs) >= 1000
+    blob = json.dumps(outs).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "bfb4540e595fb8fbe643f699c39e2a653bb253eacb4917e0973a1317bf2a8382"
+    )
+
+
+def _mutant_cases():
+    """1 + T + qT^2 over Z/p^n and F_p[t]/(t^e): non-affine at every level
+    of the descent and never near the identity, so the descent goes the
+    full ceil(log2 n) levels, each with a nonzero Newton correction."""
+    rings = [IntModRing(p ** n, q=p) for p in (2, 3) for n in (2, 3, 5, 8)]
+    rings += [TruncSeriesRing("fp", e, p=p) for p in (2, 5) for e in (2, 3, 5, 8)]
+    return [P(R, [1, 1, R.q_power(1)]) for R in rings]
+
+
+def test_descent_without_its_newton_correction_is_caught(monkeypatch):
+    """_descend's correction phi' * delta dropped: a descent of two or more
+    levels raises KernelMismatch at the level above the first uncorrected
+    one, and a one-level descent returns a map that oracle_invert, which
+    never multiplies, disagrees with."""
+    cases = [(f, invert_with_depth(f)[1], oracle_invert(f)) for f in _mutant_cases()]
+    monkeypatch.setattr(inversion, "_poly_mul", lambda a, b, ring: [])
+    for f, depth, want in cases:
+        if depth >= 2:
+            with pytest.raises(KernelMismatch):
+                invert(f)
+        else:
+            assert depth == 1 and invert(f) != want == oracle_invert(f)
+
+
+def test_oracle_invert_catches_a_corrupted_composition(monkeypatch):
+    """One composition of oracle_invert, any round's or the final f(g),
+    comes back with q^(k-1) added to its constant term at precision k,
+    the least change that precision shows: a later round's valuation check
+    or the final equation f(g) = T raises NoSolution."""
+    clean = inversion._compose
+    for f in _mutant_cases():
+        n = f.ring.truncation
+        calls = []
+
+        def corrupt(a, b, ring):
+            out = clean(a, b, ring)
+            if len(calls) == bad:
+                out = [ring.add(out[0], ring.q_power(ring.truncation - 1)), *out[1:]]
+            calls.append(ring)
+            return out
+
+        monkeypatch.setattr(inversion, "_compose", corrupt)
+        bad = None
+        oracle_invert(f)
+        assert len(calls) == n  # n - 1 rounds and the final equation
+        for bad in range(n):
+            calls.clear()
+            with pytest.raises(NoSolution):
+                oracle_invert(f)

@@ -96,6 +96,21 @@ def test_the_packed_rings_have_one_codec():
         assert not hasattr(autgroup, name), name
 
 
+def test_composition_has_one_dispatcher():
+    """TruncPoly.compose and both inversion routes reach the composition
+    routes through autgroup._compose alone, so no second dispatch on the
+    ring's class grows back beside it."""
+    import inspect
+
+    from affaut import autgroup, inversion
+
+    for fn in (autgroup.TruncPoly.compose, inversion._descend, inversion.oracle_invert):
+        src = inspect.getsource(fn)
+        assert "_compose(" in src, fn
+        for name in ("IntModRing", "_compose_int", "_compose_bsgs", ".compose("):
+            assert name not in src, (fn, name)
+
+
 def test_the_group_layer_asks_the_ring_and_the_map():
     """The ring questions of autgroup are ring members and the automorphism
     check and the inverse about T live once, so the removed helpers stay
